@@ -1,20 +1,7 @@
 //! `manic` — command-line interface to the measurement system.
 //!
-//! ```text
-//! manic world [--world toy|us] [--seed N]              # topology summary
-//! manic links --vp <name> [--world ..] [--seed N]      # run bdrmap, list links
-//! manic watch --vp <name> --days D [--world ..]        # live dashboard after D days
-//! manic study --days D [--world ..] [--seed N]         # longitudinal day-link report
-//! manic export --vp <name> --hours H [--format json|csv]  # raw TSLP series dump
-//! manic inspect [--days D] [--world ..]                # evidence dossiers (sec. 4.2)
-//! manic obs metrics [--hours H] [--format prom|json]   # run pipeline, dump metrics
-//! manic obs journal [--filter S] [--hours H]           # structured event journal
-//! manic obs explain <far-ip> [--hours H]               # audit trail for one link
-//! manic obs links [--hours H]                          # links with audit records
-//! manic serve [--addr H:P] [--hours H] [--snapshot-interval S]  # HTTP API
-//! manic run [--hours H] [--data-dir D] [--durability P] [--resume]  # headless run
-//! manic recover <data-dir>                             # inspect a checkpoint
-//! ```
+//! The command summary is [`USAGE`], which `manic help` (also `--help`,
+//! `-h`) prints.
 //!
 //! `manic run` and `manic serve` accept `--data-dir <dir>` to persist every
 //! sample through the tsdb write-ahead log and checkpoint full system state
@@ -28,8 +15,7 @@
 //! journal floor and the stderr echo; `--quiet` silences the stderr echo
 //! entirely. Without either, the CLI echoes warnings and errors only.
 //! `--threads N` sizes the round-engine pool (results are byte-identical at
-//! any count) and `--summary-window-days D` sets the detection window the
-//! incremental link summaries keep resident (default 30).
+//! any count).
 //!
 //! Argument parsing is hand-rolled (the workspace carries no CLI
 //! dependency); every command is deterministic given `--seed`.
@@ -110,6 +96,37 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// Command summary: printed by `manic help` / `--help` / `-h` on stdout,
+/// and after an argument error on stderr.
+const USAGE: &str = "\
+usage: manic <command> [flags]
+
+  manic world  [--world NAME] [--seed N] [--stats]          # topology summary
+               (NAME: toy, us, or generated sim-1k|sim-5k|planet-20k|planet-50k)
+  manic links  --vp <name> [--world ..] [--seed N]          # run bdrmap, list links
+  manic watch  --vp <name> [--hours H] [--world ..]         # live dashboard
+  manic study  [--days D] [--world ..] [--seed N]           # longitudinal day-link report
+  manic export --vp <name> [--hours H] [--format json|csv]  # raw TSLP series dump
+  manic inspect [--days D] [--world ..]                     # evidence dossiers (sec. 4.2)
+  manic obs metrics [--hours H] [--format prom|json]        # run pipeline, dump metrics
+  manic obs journal [--filter S] [--hours H]                # structured event journal
+  manic obs explain <far-ip> [--hours H]                    # audit trail for one link
+  manic obs links [--hours H]                               # links with audit records
+  manic serve  [--addr HOST:PORT] [--hours H] [--snapshot-interval SECS]  # HTTP API
+               [--max-conns N] [--request-timeout SECS] [--shed-queue-depth N]
+  manic run    [--hours H] [--data-dir DIR] [--durability P] [--resume]  # headless run
+  manic recover <data-dir>   # inspect a checkpoint (exit 0 clean, 3 recoverable damage, 1 fatal)
+  manic help                 # this text (also --help, -h)
+
+global flags: --verbosity trace|debug|info|warn|error, --quiet,
+              --threads N (round-engine workers, default: all cores;
+              results are identical for any N)
+durability:   --data-dir DIR, --durability always|every-<n>|never,
+              --checkpoint-every ROUNDS, --resume,
+              --storage-faults <seed>:<eio|enospc|torn|lie|flip[+..]|all>
+              (inject seeded disk faults into the storage layer; testing)
+";
+
 /// Default simulated start for CLI runs (inside the study window).
 fn t0() -> i64 {
     date_to_sim(Date::new(2017, 3, 1))
@@ -157,9 +174,6 @@ struct Args {
     /// `manic serve --shed-queue-depth N`: accept-queue depth beyond which
     /// non-priority requests are shed (0 disables depth-based shedding).
     shed_queue_depth: usize,
-    /// `--summary-window-days D`: detection window the incremental link
-    /// summaries keep resident (default 30 days = 8640 five-minute bins).
-    summary_window_days: usize,
 }
 
 impl Args {
@@ -188,7 +202,6 @@ impl Args {
             max_conns: manic_serve::OverloadConfig::default().max_conns,
             request_timeout: 2,
             shed_queue_depth: manic_serve::OverloadConfig::default().shed_queue_depth,
-            summary_window_days: 30,
         };
         while let Some(flag) = argv.next() {
             let mut val = || argv.next().ok_or_else(|| CliError::MissingValue(flag.clone()));
@@ -227,9 +240,6 @@ impl Args {
                 "--stats" => args.stats = true,
                 "--storage-faults" => args.storage_faults = Some(val()?),
                 "--threads" => args.threads = num("--threads", val()?)?,
-                "--summary-window-days" => {
-                    args.summary_window_days = num("--summary-window-days", val()?)?
-                }
                 "--quiet" => args.quiet = true,
                 "--verbosity" => {
                     let v = val()?;
@@ -275,12 +285,6 @@ impl Args {
                 reason: "must be at least 1".into(),
             });
         }
-        if args.summary_window_days == 0 {
-            return Err(CliError::InvalidValue {
-                flag: "--summary-window-days",
-                reason: "must be at least 1 day".into(),
-            });
-        }
         if args.checkpoint_every == 0 {
             return Err(CliError::InvalidValue {
                 flag: "--checkpoint-every",
@@ -314,19 +318,10 @@ impl Args {
         Ok((cmd, args))
     }
 
-    /// Five-minute bins covered by `--summary-window-days`.
-    fn summary_window_bins(&self) -> usize {
-        self.summary_window_days * 288
-    }
-
     /// Core config with the CLI's threading knob applied. Thread count
     /// never changes results (byte-identical stores), only wall-clock.
     fn system_config(&self) -> SystemConfig {
-        SystemConfig {
-            threads: self.threads,
-            summary_window_bins: self.summary_window_bins(),
-            ..SystemConfig::default()
-        }
+        SystemConfig { threads: self.threads, ..SystemConfig::default() }
     }
 
     /// Resolve `--world` through the worldgen library (classic and
@@ -369,33 +364,17 @@ fn main() -> ExitCode {
             }
         }
         Err(e) => {
-            // ALLOW_PRINT: CLI usage text.
-            eprintln!("error: {e}\n");
-            eprintln!("usage: manic <world|links|watch|study|export|inspect|obs|run|recover> [flags]");
-            eprintln!("  manic world  [--world NAME] [--seed N] [--stats]");
-            eprintln!("               (NAME: toy, us, or generated sim-1k|sim-5k|planet-20k|planet-50k)");
-            eprintln!("  manic links  --vp <name> [--world ..] [--seed N]");
-            eprintln!("  manic watch  --vp <name> [--hours H] [--world ..]");
-            eprintln!("  manic study  [--days D] [--world ..] [--seed N]");
-            eprintln!("  manic export --vp <name> [--hours H] [--format json|csv]");
-            eprintln!("  manic obs    <metrics|journal|explain <far-ip>|links> [--hours H]");
-            eprintln!("  manic serve  [--addr HOST:PORT] [--hours H] [--snapshot-interval SECS]");
-            eprintln!("               [--max-conns N] [--request-timeout SECS] [--shed-queue-depth N]");
-            eprintln!("  manic run    [--hours H] [--data-dir DIR] [--durability P] [--resume]");
-            eprintln!("               [--threads N]   (N workers; results identical for any N)");
-            eprintln!("  manic recover <data-dir>   (exit 0 clean, 3 recoverable damage, 1 fatal)");
-            eprintln!("global flags: --verbosity trace|debug|info|warn|error, --quiet,");
-            eprintln!("              --threads N (round-engine workers, default: all cores)");
-            eprintln!("durability:   --data-dir DIR, --durability always|every-<n>|never,");
-            eprintln!("              --checkpoint-every ROUNDS, --resume,");
-            eprintln!("              --storage-faults <seed>:<eio|enospc|torn|lie|flip[+..]|all>");
-            eprintln!("              (inject seeded disk faults into the storage layer; testing)");
+            eprint!("error: {e}\n\n{USAGE}"); // ALLOW_PRINT: CLI usage text
             ExitCode::FAILURE
         }
     }
 }
 
 fn run(cmd: &str, args: Args) -> Result<(), CliError> {
+    if matches!(cmd, "help" | "--help" | "-h") {
+        print!("{USAGE}"); // ALLOW_PRINT: CLI user output
+        return Ok(());
+    }
     if !matches!(
         cmd,
         "world"
@@ -514,9 +493,6 @@ fn cmd_run(args: Args) -> Result<(), CliError> {
     let (mut sys, mut d) = if args.resume && has_checkpoint {
         let (mut sys, d, info) = manic_core::resume(&dir, Some(cfg)).map_err(durability_err)?;
         sys.cfg.threads = args.threads;
-        // Summaries are rebuilt lazily after resume, so a new window length
-        // simply takes effect at the first post-resume commit.
-        sys.cfg.summary_window_bins = args.summary_window_bins();
         println!(
             "resumed: world '{}' seed {} rounds={} t={} recovered_in_ms={:.1} \
              tail_discarded={} snapshot_records={} hash_ok={}",
@@ -671,7 +647,6 @@ fn cmd_serve(args: Args) -> Result<(), CliError> {
                 let (mut sys, d, info) =
                     manic_core::resume(&dir, Some(cfg)).map_err(durability_err)?;
                 sys.cfg.threads = args.threads;
-                sys.cfg.summary_window_bins = args.summary_window_bins();
                 status.note_recovery(info.rounds, info.tail_discarded, info.recovery_ms);
                 status.note_storage_findings(&info.storage);
                 println!(
@@ -1253,6 +1228,19 @@ mod tests {
         assert_eq!(a.positional, vec!["/tmp/x".to_string()]);
         let (cmd, a) = parse(&["run", "stray"]).unwrap();
         assert!(matches!(super::run(&cmd, a), Err(CliError::UnexpectedArg(_))));
+    }
+
+    #[test]
+    fn help_prints_usage_and_unknown_commands_fail() {
+        for flag in ["help", "--help", "-h"] {
+            let (cmd, a) = parse(&[flag]).unwrap();
+            assert!(super::run(&cmd, a).is_ok(), "{flag} must succeed");
+        }
+        let (cmd, a) = parse(&["halp"]).unwrap();
+        assert!(matches!(
+            super::run(&cmd, a),
+            Err(super::CliError::UnknownCommand(c)) if c == "halp"
+        ));
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! `run_rounds` drives the packet-mode measurement loop: every five-minute
 //! round it runs each active VP's work — a bdrmap cycle when due, retirement
-//! polling, and the TSLP round — and lands the results in the tsdb. With
-//! `SystemConfig::threads > 1` the per-VP work is fanned out across a fixed
-//! pool of `std::thread::scope` workers that pull VP indices from a shared
-//! atomic counter (work stealing, since bdrmap cycles make VP cost wildly
-//! uneven).
+//! polling, and the TSLP round — and lands the results in the tsdb. The
+//! coordinator and `SystemConfig::threads - 1` `std::thread::scope` workers
+//! pull VP indices from a shared atomic counter (work stealing, since bdrmap
+//! cycles make VP cost wildly uneven); with `threads: 1` the coordinator
+//! drains the counter alone and no thread is spawned.
 //!
 //! Determinism is preserved **by construction**, not by scheduling:
 //!
@@ -17,8 +17,8 @@
 //!   staged into per-VP [`StagedOps`] buffers; after the round barrier the
 //!   coordinator commits them in **VP-index order**, so the WAL byte stream,
 //!   the per-series point order, `Store::content_hash`, and checkpoint
-//!   contents are identical for every thread count — including `threads: 1`,
-//!   which runs the exact same stage-then-commit path without spawning.
+//!   contents are identical for every thread count. There is one round
+//!   loop: `threads: 1` runs the exact same stage-then-commit path.
 //!
 //! Journal events and metrics emitted *inside* a round may interleave across
 //! workers; ordering of those side channels is explicitly not part of the
@@ -26,7 +26,7 @@
 
 use crate::system::{System, SystemConfig, VpRuntime};
 use manic_netsim::time::{SimTime, SECS_PER_DAY};
-use manic_probing::tslp::{End, ROUND_SECS};
+use manic_probing::tslp::{End, TslpProber, ROUND_SECS};
 use manic_scenario::World;
 use manic_tsdb::{quality::QualityFlags, Point, Store};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
@@ -67,22 +67,18 @@ impl StagedOps {
         self.annots.clear();
     }
 
-    /// Replay the staged round against the store, fold it into the VP's
-    /// incremental link summaries, and clear the buffers. Samples arrive
-    /// grouped by task, so each task's near/far runs become one
-    /// `write_batch` per series (one shard-lock acquisition, one WAL
+    /// Replay the staged round against the store and clear the buffers.
+    /// Samples arrive grouped by task, so each task's near/far runs become
+    /// one `write_batch` per series (one shard-lock acquisition, one WAL
     /// staging pass) instead of a lock per point. `near`/`far` are reusable
     /// scratch buffers owned by the commit loop.
     fn commit(
         &mut self,
         store: &Store,
-        vp: &mut VpRuntime,
-        t: SimTime,
-        window_bins: usize,
+        tslp: &TslpProber,
         near: &mut Vec<Point>,
         far: &mut Vec<Point>,
     ) {
-        let tslp = &vp.tslp;
         for &(ti, end, from, until, flags) in &self.annots {
             store.annotate(tslp.key(ti as usize, end), from, until, flags);
         }
@@ -107,50 +103,6 @@ impl StagedOps {
                 store.write_batch(tslp.key(ti as usize, End::Far), far);
             }
             i = j;
-        }
-
-        // Incremental summary maintenance (runs every round, including
-        // empty ones, so windows advance deterministically). Existing rings
-        // advance in O(1 bin); tasks without a ring backfill one from the
-        // store — which at this point already contains the round's writes,
-        // so a fresh ring starts exactly equal to the store's dense view.
-        let hi_end = t + ROUND_SECS;
-        for (ti, task) in vp.tslp.tasks.iter().enumerate() {
-            match vp.summaries.entry((task.near_ip, task.far_ip)) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut().advance_to(hi_end),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(manic_inference::LinkSummary::backfilled(
-                        store,
-                        vp.tslp.key(ti, End::Far),
-                        hi_end,
-                        window_bins,
-                        ROUND_SECS,
-                    ));
-                }
-            }
-        }
-        // Replay the staged far-end ops into the rings. The per-bin folds
-        // (`min`, `|=`) are idempotent, so freshly backfilled rings — which
-        // already contain this round's writes — absorb the replay unchanged.
-        for &(ti, end, from, until, flags) in &self.annots {
-            if end != End::Far {
-                continue;
-            }
-            if let Some(task) = vp.tslp.tasks.get(ti as usize) {
-                if let Some(s) = vp.summaries.get_mut(&(task.near_ip, task.far_ip)) {
-                    s.observe_flags(from, until, flags);
-                }
-            }
-        }
-        for &(ti, end, ts, v) in &self.samples {
-            if end != End::Far {
-                continue;
-            }
-            if let Some(task) = vp.tslp.tasks.get(ti as usize) {
-                if let Some(s) = vp.summaries.get_mut(&(task.near_ip, task.far_ip)) {
-                    s.observe_sample(ts, v);
-                }
-            }
         }
         self.annots.clear();
         self.samples.clear();
@@ -287,114 +239,82 @@ fn supervised_vp_round(
 }
 
 /// Drive rounds over `[from, to)`; returns the number of rounds executed.
+///
+/// One loop for every thread count: a pool of `threads - 1` workers plus the
+/// coordinator, synchronized by a barrier (two waits per round: start and
+/// done). Each slot pairs one VP's runtime with its staging buffer; the
+/// work-stealing index hands slots to whichever participant is free, and
+/// the per-slot mutex is uncontended (each slot is claimed exactly once per
+/// round). After the done barrier the coordinator commits the slots in
+/// VP-index order.
 pub(crate) fn run_rounds(sys: &mut System, from: SimTime, to: SimTime) -> usize {
     let System { world, store, vps, cfg, .. } = sys;
+    let (world, cfg) = (&*world, &*cfg);
     let cycle_secs = cfg.bdrmap_cycle_days * SECS_PER_DAY;
     let nvps = vps.len();
     let threads = cfg.threads.max(1).min(nvps.max(1));
-    let mut near_scratch: Vec<Point> = Vec::new();
-    let mut far_scratch: Vec<Point> = Vec::new();
-    let mut rounds = 0;
-
-    if threads <= 1 {
-        // Serial path: same stage-then-commit sequence, no pool. Keeping the
-        // paths identical is what makes `--threads N` byte-compatible with
-        // `--threads 1`.
-        let mut stages: Vec<StagedOps> = (0..nvps).map(|_| StagedOps::default()).collect();
-        let mut t = from;
-        while t < to {
-            let round_started = std::time::Instant::now();
-            for (vp, stage) in vps.iter_mut().zip(stages.iter_mut()) {
-                supervised_vp_round(world, cfg, vp, stage, t, cycle_secs);
-            }
-            let m = crate::obs::metrics();
-            let commit_started = std::time::Instant::now();
-            for (vp, stage) in vps.iter_mut().zip(stages.iter_mut()) {
-                stage.commit(
-                    store,
-                    vp,
-                    t,
-                    cfg.summary_window_bins,
-                    &mut near_scratch,
-                    &mut far_scratch,
-                );
-            }
-            m.commit_ms.observe(commit_started.elapsed().as_secs_f64() * 1e3);
-            m.rounds.inc();
-            m.round_duration.observe(round_started.elapsed().as_secs_f64() * 1e3);
-            rounds += 1;
-            t += ROUND_SECS;
-        }
-        return rounds;
-    }
-
-    // Parallel path: a persistent pool synchronized by a barrier (two waits
-    // per round: start and done). Each slot pairs one VP's runtime with its
-    // staging buffer; the work-stealing index hands slots to whichever
-    // worker is free, and the per-slot mutex is uncontended (each slot is
-    // claimed exactly once per round).
     let slots: Vec<Mutex<(&mut VpRuntime, StagedOps)>> = vps
         .iter_mut()
         .map(|vp| Mutex::new((vp, StagedOps::default())))
         .collect();
-    let barrier = Barrier::new(threads + 1);
+    let barrier = Barrier::new(threads);
     let done = AtomicBool::new(false);
     let cur_t = AtomicI64::new(0);
     let next = AtomicUsize::new(0);
-    let world = &*world;
-    let cfg = &*cfg;
+    let drain = || {
+        let t = cur_t.load(Ordering::Acquire);
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= nvps {
+                break;
+            }
+            let mut slot = slots[i].lock().unwrap();
+            let (vp, stage) = &mut *slot;
+            supervised_vp_round(world, cfg, vp, stage, t, cycle_secs);
+        }
+    };
 
     std::thread::scope(|s| {
-        for _ in 0..threads {
+        for _ in 1..threads {
             s.spawn(|| loop {
                 barrier.wait();
                 if done.load(Ordering::Acquire) {
                     break;
                 }
-                let t = cur_t.load(Ordering::Acquire);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= nvps {
-                        break;
-                    }
-                    let mut slot = slots[i].lock().unwrap();
-                    let (vp, stage) = &mut *slot;
-                    supervised_vp_round(world, cfg, vp, stage, t, cycle_secs);
-                }
+                drain();
                 barrier.wait();
             });
         }
 
+        let mut near_scratch: Vec<Point> = Vec::new();
+        let mut far_scratch: Vec<Point> = Vec::new();
+        let mut rounds = 0;
         let mut t = from;
         while t < to {
             let round_started = std::time::Instant::now();
             cur_t.store(t, Ordering::Release);
             next.store(0, Ordering::Release);
             barrier.wait(); // release the round to the pool
+            drain();
             barrier.wait(); // all VPs done; staged results quiescent
             let m = crate::obs::metrics();
             let commit_started = std::time::Instant::now();
             for slot in &slots {
                 let mut guard = slot.lock().unwrap();
                 let (vp, stage) = &mut *guard;
-                stage.commit(
-                    store,
-                    vp,
-                    t,
-                    cfg.summary_window_bins,
-                    &mut near_scratch,
-                    &mut far_scratch,
-                );
+                stage.commit(store, &vp.tslp, &mut near_scratch, &mut far_scratch);
             }
             m.commit_ms.observe(commit_started.elapsed().as_secs_f64() * 1e3);
             m.rounds.inc();
-            m.parallel_rounds.inc();
+            if threads > 1 {
+                m.parallel_rounds.inc();
+            }
             m.round_duration.observe(round_started.elapsed().as_secs_f64() * 1e3);
             rounds += 1;
             t += ROUND_SECS;
         }
         done.store(true, Ordering::Release);
         barrier.wait();
-    });
-    rounds
+        rounds
+    })
 }

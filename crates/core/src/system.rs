@@ -35,11 +35,6 @@ pub struct SystemConfig {
     /// fans VPs out across a fixed pool. Every value produces byte-identical
     /// stores (see DESIGN.md §5g), so this is purely a throughput knob.
     pub threads: usize,
-    /// Length of each task's incremental [`manic_inference::LinkSummary`]
-    /// ring, in five-minute bins (default: 8640 = 30 days — the longest
-    /// window the reactive level-shift path analyzes). Detection windows
-    /// inside the ring are served without rescanning the store.
-    pub summary_window_bins: usize,
 }
 
 impl Default for SystemConfig {
@@ -53,7 +48,6 @@ impl Default for SystemConfig {
             health: HealthConfig::default(),
             supervisor: SupervisorConfig::default(),
             threads: 1,
-            summary_window_bins: 8640,
         }
     }
 }
@@ -82,11 +76,6 @@ pub struct VpRuntime {
     /// `(near_ip, far_ip) → link` index over `bdrmap`'s inferred links,
     /// rebuilt whenever `bdrmap` changes.
     pub bdrmap_links: std::collections::HashMap<(Ipv4, Ipv4), LinkMeta>,
-    /// Incremental far-end series summaries, one per probing task, updated
-    /// from each round's committed staged ops (see
-    /// [`manic_inference::LinkSummary`]). Created lazily at commit time by
-    /// store backfill, so they never need checkpointing.
-    pub summaries: std::collections::HashMap<(Ipv4, Ipv4), manic_inference::LinkSummary>,
     /// When the probing set was last refreshed.
     pub last_cycle: Option<SimTime>,
     /// Consecutive rounds each task spent without a valid far-end response,
@@ -172,7 +161,6 @@ impl System {
                 sim: SimState::new(),
                 bdrmap: None,
                 bdrmap_links: std::collections::HashMap::new(),
-                summaries: std::collections::HashMap::new(),
                 last_cycle: None,
                 stale_rounds: std::collections::HashMap::new(),
                 health: std::collections::HashMap::new(),
@@ -296,10 +284,6 @@ impl System {
             .map(|l| ((l.near_ip, l.far_ip), LinkMeta { far_as: l.far_as, rel: l.rel }))
             .collect();
         vp.bdrmap = Some(result);
-        // Summaries follow the probing set: tasks that survived re-selection
-        // keep their ring (series continuity), dropped tasks free theirs,
-        // new tasks backfill lazily at the next commit.
-        vp.summaries.retain(|k, _| new_keys.contains(k));
         vp.last_cycle = Some(t);
         vp.stale_rounds.clear();
         // A fresh probing set clears all health state: retired tasks that
@@ -484,45 +468,14 @@ impl System {
         let mut bins: Vec<Option<f64>> = Vec::new();
         let mut qual: Vec<manic_tsdb::quality::QualityFlags> = Vec::new();
         for (ti, task) in vp.tslp.tasks.iter().enumerate() {
-            let tkey = (task.near_ip, task.far_ip);
-            let Some(link) = vp.bdrmap_links.get(&tkey) else { continue };
+            let Some(link) = vp.bdrmap_links.get(&(task.near_ip, task.far_ip)) else { continue };
             if link.rel == LinkRel::Customer {
                 continue; // §3.3: only peers and providers
             }
             let key = vp.tslp.key(ti, End::Far);
-            // Serve the dense window from the task's incremental summary
-            // when it covers `[from, to)`; fall back to a store rescan
-            // otherwise (window predates the ring, or no commit has run
-            // yet). The summary content is provably identical to the store
-            // scan — checked here in debug builds on every served window.
-            let served = match vp.summaries.get(&tkey) {
-                Some(s) if s.can_serve(from, to) => {
-                    s.dense_into(from, to, &mut bins, &mut qual);
-                    true
-                }
-                _ => false,
-            };
-            if served {
-                #[cfg(debug_assertions)]
-                {
-                    let store_bins =
-                        self.store.downsample_dense(key, from, to, ROUND_SECS, Aggregate::Min);
-                    let store_qual = self.store.quality_dense(key, from, to, ROUND_SECS);
-                    debug_assert_eq!(
-                        bins, store_bins,
-                        "summary ring diverged from store (bins) for {key:?}"
-                    );
-                    debug_assert_eq!(
-                        qual, store_qual,
-                        "summary ring diverged from store (quality) for {key:?}"
-                    );
-                }
-            } else {
-                manic_inference::note_summary_fallback();
-                self.store
-                    .downsample_dense_into(key, from, to, ROUND_SECS, Aggregate::Min, &mut bins);
-                self.store.quality_dense_into(key, from, to, ROUND_SECS, &mut qual);
-            }
+            self.store
+                .downsample_dense_into(key, from, to, ROUND_SECS, Aggregate::Min, &mut bins);
+            self.store.quality_dense_into(key, from, to, ROUND_SECS, &mut qual);
             // Quality-masked detection: windows the control loop flagged
             // (quarantine gaps, renumbering, suspected rate limiting) must
             // yield *no inference*, not a fabricated level shift.

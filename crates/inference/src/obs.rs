@@ -13,20 +13,6 @@ pub(crate) struct Metrics {
     pub shifts_detected: Counter,
     /// Episodes discarded because a boundary touched a masked region.
     pub shifts_rejected_mask_edge: Counter,
-    /// Link-summary maintenance: rings created by store backfill.
-    pub summary_backfills: Counter,
-    /// Bins expired/entered as summary windows advanced.
-    pub summary_bins_advanced: Counter,
-    /// Committed samples folded into summary rings.
-    pub summary_samples_folded: Counter,
-    /// Dense detection windows served from a ring (no store rescan).
-    pub summary_windows_served: Counter,
-    /// Detection windows a summary could not cover (store rescan).
-    pub summary_window_fallbacks: Counter,
-    /// Exact level-shift analyses run through a summary.
-    pub summary_exact_analyses: Counter,
-    /// Refresh calls answered with the carried verdict (no detector run).
-    pub summary_verdicts_carried: Counter,
     /// Autocorrelation windows analyzed / asserting recurrence.
     pub autocorr_windows: Counter,
     pub autocorr_asserted: Counter,
@@ -59,13 +45,6 @@ pub(crate) fn metrics() -> &'static Metrics {
             levelshift_runs: r.counter("manic_inference_levelshift_runs"),
             shifts_detected: r.counter("manic_inference_shifts_detected"),
             shifts_rejected_mask_edge: r.counter("manic_inference_shifts_rejected_mask_edge"),
-            summary_backfills: r.counter("manic_inference_summary_backfills"),
-            summary_bins_advanced: r.counter("manic_inference_summary_bins_advanced"),
-            summary_samples_folded: r.counter("manic_inference_summary_samples_folded"),
-            summary_windows_served: r.counter("manic_inference_summary_windows_served"),
-            summary_window_fallbacks: r.counter("manic_inference_summary_window_fallbacks"),
-            summary_exact_analyses: r.counter("manic_inference_summary_exact_analyses"),
-            summary_verdicts_carried: r.counter("manic_inference_summary_verdicts_carried"),
             autocorr_windows: r.counter("manic_inference_autocorr_windows"),
             autocorr_asserted: r.counter("manic_inference_autocorr_asserted"),
             autocorr_rejected_too_few_days: rej("too_few_days"),
