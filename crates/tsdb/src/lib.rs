@@ -7,8 +7,8 @@
 //!
 //! * tagged series — a measurement name plus a sorted tag set identifies a
 //!   series (`tslp, vp=ark-bed-us, link=L17, end=far`);
-//! * append-mostly ingestion of `(timestamp, f64)` points, including a
-//!   line-protocol parser for textual ingest;
+//! * append-mostly ingestion of `(timestamp, f64)` points, journaled to a
+//!   write-ahead log whose binary frames also make up checkpoint snapshots;
 //! * range queries and bin downsampling (`min` per 5/15-minute bin is the
 //!   pre-processing step of both inference algorithms, §4.1/§4.2);
 //! * retention trimming and CSV/JSON export (the public-data release story
@@ -27,9 +27,9 @@ pub mod store;
 pub mod wal;
 
 pub use key::{SeriesKey, TagSet};
-pub use lineproto::{format_key, format_line, parse_key, parse_line, LineProtoError};
+pub use lineproto::{format_key, parse_key, LineProtoError};
 pub use quality::{QualityFlags, QualityLog};
 pub use series::{Aggregate, Point, Series};
 pub use store::{recommended_shards, LatestCell, LatestHandle, Store, TagFilter};
 pub use wal::{FsyncPolicy, ReplayReport, Wal, WalCodecError, WalPosition, WalRecord};
-pub use wal::{replay_dir_range, replay_segment_file_with};
+pub use wal::{replay_dir_range, replay_segment_file_with, write_snapshot};

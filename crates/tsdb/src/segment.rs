@@ -1,11 +1,19 @@
-//! Append-only WAL segment files.
+//! Append-only segment files: the write-ahead log's segments and the
+//! checkpoint snapshots, which share one frame format.
 //!
-//! A segment is a header followed by length-prefixed, checksummed records:
+//! A segment is a header followed by length-prefixed, checksummed frames:
 //!
 //! ```text
-//! [8-byte magic "MANICWA1"]
+//! [8-byte magic "MANICWA2"]
 //! [u32 LE payload_len][u32 LE crc32(payload)][payload bytes]  × N
 //! ```
+//!
+//! The payloads are the `K`/`B`/`A`/`R` records of [`crate::wal`]. The
+//! final magic byte is the format version. A file whose header reads
+//! `MANICWA` plus another digit was written by another format version: it
+//! is refused with [`io::ErrorKind::InvalidData`] naming both versions,
+//! never replayed, appended to or migrated. Any other unreadable header
+//! is reported as [`SegmentScan::bad_header`].
 //!
 //! The CRC is the plain IEEE polynomial over the payload only. A crash can
 //! tear the final record (short write, zeroed tail, garbage); the scanner
@@ -28,17 +36,46 @@
 //! explicit handle, the plain ones use the real disk.
 
 use manic_vfs::{Vfs, VfsFile};
+use std::fmt;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-/// File magic; bumping the format bumps the final byte.
-pub const MAGIC: [u8; 8] = *b"MANICWA1";
+/// File magic; the final byte is the format version.
+pub const MAGIC: [u8; 8] = *b"MANICWA2";
 /// Byte offset of the first record frame.
 pub const HEADER_LEN: u64 = MAGIC.len() as u64;
 /// Upper bound on a single payload; longer length prefixes are treated as
 /// corruption (a torn length field can otherwise claim gigabytes).
 pub const MAX_PAYLOAD: u32 = 1 << 20;
+
+/// A segment written by another format version (see the module docs).
+#[derive(Debug)]
+struct VersionMismatch {
+    path: PathBuf,
+    found: [u8; 8],
+}
+
+impl fmt::Display for VersionMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} is segment format {}, this build reads {}; \
+             data written by another format version is not migrated",
+            self.path.display(),
+            String::from_utf8_lossy(&self.found),
+            String::from_utf8_lossy(&MAGIC)
+        )
+    }
+}
+
+impl std::error::Error for VersionMismatch {}
+
+/// True when `e` is the refusal of a segment written by another format
+/// version.
+pub fn is_version_mismatch(e: &io::Error) -> bool {
+    e.get_ref().is_some_and(|inner| inner.is::<VersionMismatch>())
+}
 
 /// IEEE CRC-32 (the zlib/Ethernet polynomial), slice-by-8 table-driven:
 /// eight derived tables let the hot loop fold 8 input bytes per iteration
@@ -189,7 +226,8 @@ pub struct SegmentScan {
     /// True when bytes past the last intact frame existed but did not form
     /// a valid frame (torn tail or corruption).
     pub torn: bool,
-    /// True when even the header was missing or wrong.
+    /// True when the header was missing or unreadable (but not another
+    /// format version, which fails the scan instead).
     pub bad_header: bool,
     /// Byte ranges `[start, end)` skipped by resync: corrupt frames fenced
     /// mid-file, with intact frames recovered after each range. Empty
@@ -238,6 +276,16 @@ pub fn scan_with(
     resync: bool,
 ) -> io::Result<SegmentScan> {
     let raw = vfs.read(path)?;
+    let version = MAGIC.len() - 1;
+    if raw.len() >= MAGIC.len()
+        && raw[..version] == MAGIC[..version]
+        && raw[version] != MAGIC[version]
+        && raw[version].is_ascii_digit()
+    {
+        let found = raw[..MAGIC.len()].try_into().unwrap();
+        let refusal = VersionMismatch { path: path.to_path_buf(), found };
+        return Err(io::Error::new(io::ErrorKind::InvalidData, refusal));
+    }
     if raw.len() < MAGIC.len() || raw[..MAGIC.len()] != MAGIC {
         return Ok(SegmentScan {
             records: Vec::new(),
@@ -270,10 +318,13 @@ pub fn scan_with(
                 }
                 // Search for the next parseable frame boundary. One CRC
                 // match is a strong signal (2^-32 on garbage); anything
-                // skipped is quarantined, not silently dropped.
+                // skipped is quarantined, not silently dropped. Empty
+                // frames do not count: eight zero bytes — common inside
+                // binary sample entries — parse as one (crc32 of nothing
+                // is 0), and no log record is empty.
                 let mut found = None;
                 for c in pos + 1..raw.len().saturating_sub(8) {
-                    if frame_at(&raw, c).is_some() {
+                    if frame_at(&raw, c).is_some_and(|next| next > c + 8) {
                         found = Some(c);
                         break;
                     }
@@ -394,6 +445,30 @@ mod tests {
         // valid_len still fences at the first corrupt byte: appends must
         // not resume past quarantined garbage.
         assert_eq!(re.valid_len, corrupt_at);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn resync_skips_zero_runs_inside_a_corrupt_frame() {
+        let path = tmp("zeroes.seg");
+        let mut w = SegmentWriter::create(&path).unwrap();
+        w.append(b"first").unwrap();
+        let corrupt_at = w.offset();
+        // Sixteen zero bytes would parse as two empty frames.
+        let mut payload = [0u8; 17];
+        payload[0] = 0xAB;
+        w.append(&payload).unwrap();
+        let corrupt_end = w.offset();
+        w.append(b"third survives").unwrap();
+        w.sync().unwrap();
+        drop(w);
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[corrupt_at as usize + 8] ^= 0x01;
+        std::fs::write(&path, &raw).unwrap();
+        let re = scan_with(&manic_vfs::RealVfs, &path, 0, true).unwrap();
+        assert_eq!(re.quarantined, vec![(corrupt_at, corrupt_end)]);
+        let payloads: Vec<&[u8]> = re.records.iter().map(|(_, p)| p.as_slice()).collect();
+        assert_eq!(payloads, vec![b"first".as_slice(), b"third survives"]);
         std::fs::remove_file(&path).unwrap();
     }
 

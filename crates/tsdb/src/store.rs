@@ -5,6 +5,7 @@ use crate::quality::{QualityFlags, QualityLog};
 use crate::series::{Aggregate, Point, Series};
 use crate::wal::{Wal, WalRecord};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -190,7 +191,7 @@ impl Store {
         // Logged before applied; holding the shard lock across the enqueue
         // keeps WAL order identical to apply order within a series.
         if let Some(wal) = self.wal.get() {
-            wal.append_sample(key, &series.wal_key_token, Point::new(t, v));
+            wal.append_samples(key, &series.wal_key_token, &[Point::new(t, v)]);
         }
         series.push(t, v);
         drop(shard);
@@ -382,15 +383,7 @@ impl Store {
     /// interleaved across series, so the whole window is suspect for all of
     /// them. Returns the number of series annotated.
     pub fn annotate_all(&self, from: i64, to: i64, flags: QualityFlags) -> usize {
-        let mut keys: Vec<SeriesKey> = Vec::new();
-        for shard in &self.shards {
-            keys.extend(shard.read().unwrap().keys().cloned());
-        }
-        for shard in &self.quality {
-            keys.extend(shard.read().unwrap().keys().cloned());
-        }
-        keys.sort();
-        keys.dedup();
+        let keys = self.sorted_keys();
         for key in &keys {
             self.annotate(key, from, to, flags);
         }
@@ -465,13 +458,12 @@ impl Store {
         removed
     }
 
-    /// Apply one replayed WAL record. Recovery-only: the store being
+    /// Apply one replayed control record. Recovery-only: the store being
     /// rebuilt must not have a WAL attached, or the record would be
     /// journaled a second time.
     pub fn apply_record(&self, rec: &WalRecord) {
         debug_assert!(self.wal.get().is_none(), "replaying into a journaled store");
         match rec {
-            WalRecord::Sample { key, point } => self.write(key, point.t, point.v),
             WalRecord::Annotate { key, from, to, flags } => self.annotate(key, *from, *to, *flags),
             WalRecord::Retain { cutoff } => {
                 self.retain_from(*cutoff);
@@ -479,31 +471,39 @@ impl Store {
         }
     }
 
-    /// Every mutation needed to rebuild the store's current contents, in a
-    /// deterministic (sorted) order: the checkpoint snapshot. Replaying the
-    /// result into an empty store reproduces points and quality windows
-    /// exactly.
-    pub fn dump_records(&self) -> Vec<WalRecord> {
+    /// Every series key — with points, quality windows, or both — sorted.
+    fn sorted_keys(&self) -> Vec<SeriesKey> {
         let mut keys: Vec<SeriesKey> = Vec::new();
         for shard in &self.shards {
             keys.extend(shard.read().unwrap().keys().cloned());
         }
         for shard in &self.quality {
-            let shard = shard.read().unwrap();
-            keys.extend(shard.keys().cloned());
+            keys.extend(shard.read().unwrap().keys().cloned());
         }
         keys.sort();
         keys.dedup();
-        let mut out = Vec::new();
-        for key in keys {
-            for p in self.shard(&key).read().unwrap().get(&key).map(|s| s.all()).unwrap_or_default() {
-                out.push(WalRecord::Sample { key: key.clone(), point: p });
-            }
-            for (from, to, flags) in self.quality_windows(&key) {
-                out.push(WalRecord::Annotate { key: key.clone(), from, to, flags });
-            }
+        keys
+    }
+
+    /// Visit every series in sorted key order, holding only that series'
+    /// read locks: `f(key, ts, vs, windows)` gets the index-aligned
+    /// timestamp and value columns (empty for a flag-only series) and the
+    /// quality windows. Snapshots ([`crate::wal::write_snapshot`]), the
+    /// checkpoint restore transfer and [`Self::content_hash`] all read the
+    /// store through this one walk. The first error stops it.
+    pub fn for_each_series<E>(
+        &self,
+        mut f: impl FnMut(&SeriesKey, &[i64], &[f64], &[(i64, i64, QualityFlags)]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for key in &self.sorted_keys() {
+            let i = self.shard_index(key);
+            let points = self.shards[i].read().unwrap();
+            let (ts, vs) = points.get(key).map_or((&[][..], &[][..]), Series::cols);
+            let quality = self.quality[i].read().unwrap();
+            let windows = quality.get(key).map_or(&[][..], QualityLog::windows);
+            f(key, ts, vs, windows)?;
         }
-        out
+        Ok(())
     }
 
     /// Order-independent digest of the full store contents (points and
@@ -511,7 +511,10 @@ impl Store {
     /// with identical series data hash identically — the crash-recovery
     /// equivalence checks compare these.
     pub fn content_hash(&self) -> u64 {
-        // FNV-1a over a canonical byte stream of the sorted dump.
+        // FNV-1a over a canonical byte stream: per series in sorted key
+        // order, `S key t v` for each point, then `A key from to flags` for
+        // each quality window. The stream never changes with the on-disk
+        // formats, so neither do the hashes.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {
             for &b in bytes {
@@ -519,24 +522,24 @@ impl Store {
                 h = h.wrapping_mul(0x0000_0100_0000_01B3);
             }
         };
-        for rec in self.dump_records() {
-            match rec {
-                WalRecord::Sample { key, point } => {
-                    eat(b"S");
-                    eat(key.to_string().as_bytes());
-                    eat(&point.t.to_le_bytes());
-                    eat(&point.v.to_bits().to_le_bytes());
-                }
-                WalRecord::Annotate { key, from, to, flags } => {
-                    eat(b"A");
-                    eat(key.to_string().as_bytes());
-                    eat(&from.to_le_bytes());
-                    eat(&to.to_le_bytes());
-                    eat(&[flags]);
-                }
-                WalRecord::Retain { .. } => unreachable!("dump never emits retention records"),
+        let walked: Result<(), Infallible> = self.for_each_series(|key, ts, vs, windows| {
+            let name = key.to_string();
+            for (t, v) in ts.iter().zip(vs) {
+                eat(b"S");
+                eat(name.as_bytes());
+                eat(&t.to_le_bytes());
+                eat(&v.to_bits().to_le_bytes());
             }
-        }
+            for &(from, to, flags) in windows {
+                eat(b"A");
+                eat(name.as_bytes());
+                eat(&from.to_le_bytes());
+                eat(&to.to_le_bytes());
+                eat(&[flags]);
+            }
+            Ok(())
+        });
+        let Ok(()) = walked;
         h
     }
 
@@ -690,21 +693,51 @@ mod tests {
         assert_ne!(a.content_hash(), b.content_hash());
     }
 
-    #[test]
-    fn dump_records_rebuild_equal_store() {
+    /// A small store with hostile key text, a `-0.0` sample, out-of-order
+    /// and duplicate timestamps, and quality windows (one flag-only series).
+    fn pinned_store() -> Store {
         use crate::quality;
         let store = Store::new();
-        for t in 0..10 {
-            store.write(&key("vp1", "L1", "far"), t * 300, t as f64);
-        }
-        store.annotate(&key("vp1", "L1", "near"), 0, 900, quality::SUSPECT_RATE_LIMITED);
+        let hostile = SeriesKey::with_tags(
+            "m,with space",
+            &[("k=eq", "v,comma"), ("sp ace", "back\\slash"), ("plain", "a=b c,d")],
+        );
+        store.write(&hostile, 600, -0.0);
+        store.write(&hostile, 0, 1.25);
+        store.write(&hostile, 600, 7.5e-3);
+        store.write_batch(&key("vp1", "L1", "far"), &[Point::new(300, 18.5), Point::new(0, -3.0)]);
+        store.annotate(&hostile, 0, 300, quality::GAP);
+        store.annotate(&hostile, 300, 900, quality::QUARANTINED | quality::SUSPECT_RATE_LIMITED);
+        store.annotate(&key("vp2", "L 2", "near"), 100, 200, quality::SUSPECT_RATE_LIMITED);
+        store
+    }
+
+    #[test]
+    fn content_hash_is_pinned() {
+        // The value the hash has always had for this store: the on-disk
+        // formats may change, the digest of the contents may not.
+        assert_eq!(pinned_store().content_hash(), 0xe4e1_ffdc_a1e7_52c4);
+    }
+
+    #[test]
+    fn snapshot_replay_rebuilds_equal_store() {
+        let store = pinned_store();
+        // A non-finite value survives a snapshot bit for bit.
+        store.write(&key("vp3", "L3", "far"), 900, f64::NAN);
+        let path = std::env::temp_dir()
+            .join(format!("manic-store-snapshot-{}.seg", std::process::id()));
+        let len = crate::wal::write_snapshot(&manic_vfs::RealVfs, &path, &store).unwrap();
+        assert_eq!(len, std::fs::metadata(&path).unwrap().len());
         let rebuilt = Store::new();
-        for rec in store.dump_records() {
-            rebuilt.apply_record(&rec);
-        }
+        let rep = crate::wal::replay_segment_file(&path, &rebuilt).unwrap();
+        assert_eq!((rep.samples, rep.annotations), (6, 3));
+        assert_eq!((rep.torn_records, rep.decode_errors), (0, 0));
         assert_eq!(rebuilt.content_hash(), store.content_hash());
         assert_eq!(rebuilt.point_count(), store.point_count());
-        assert_eq!(rebuilt.quality_windows(&key("vp1", "L1", "near")).len(), 1);
+        let hostile = rebuilt.find_series("m,with space", &TagSet::new());
+        assert_eq!(hostile.len(), 1);
+        assert_eq!(rebuilt.quality_windows(&hostile[0]), store.quality_windows(&hostile[0]));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

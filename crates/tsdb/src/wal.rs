@@ -3,24 +3,27 @@
 //! Every mutation of an attached [`Store`] — sample writes, quality
 //! annotations, retention cutoffs — is appended to a segment file *before*
 //! it is applied in memory, so a crashed process can rebuild the store by
-//! replay. Annotations, retention records, and synchronous-mode samples are
-//! text (samples reuse the `lineproto` line format behind a kind byte); the
-//! group-commit sample fast path packs many samples into one binary `B`
-//! frame, with each series' escaped key journaled once per sync epoch as a
-//! `K` key-definition frame. The framing (length prefix + CRC32) lives in
+//! replay. Samples are binary: a `B` frame packs many `(key id, t, value)`
+//! entries, and each series' escaped key is journaled once per sync epoch
+//! as a `K` key-definition frame. Annotations (`A`) and retention cutoffs
+//! (`R`) are short text records. Checkpoint snapshots ([`write_snapshot`])
+//! are made of the same `K`/`B`/`A` frames, so one decoder replays both.
+//! The framing (length prefix + CRC32) and the format version live in
 //! [`crate::segment`].
 //!
-//! Durability is governed by a group-commit [`FsyncPolicy`]: `always`
-//! fsyncs every append (nothing acknowledged is ever lost), `every-n`
-//! amortizes the fsync over n records, `never` leaves flushing to the OS.
-//! Replay is deterministic — the same segments always rebuild byte-identical
-//! store contents — and a torn tail truncates the log at the last intact
-//! frame rather than failing recovery.
+//! Every append is staged on the caller's thread and written by one
+//! background writer thread. Durability is governed by a group-commit
+//! [`FsyncPolicy`]: `always` ends every append call in a sync barrier
+//! (nothing acknowledged is ever lost), `every-n` amortizes the fsync over
+//! n records, `never` leaves flushing to the OS. Replay is deterministic —
+//! the same segments always rebuild byte-identical store contents — and a
+//! torn tail truncates the log at the last intact frame rather than
+//! failing recovery.
 
-use crate::lineproto::{format_key, format_line, parse_key, parse_line, LineProtoError};
+use crate::lineproto::{format_key, parse_key, LineProtoError};
 use crate::obs::metrics;
 use crate::quality::QualityFlags;
-use crate::segment::{self, segment_path, SegmentWriter, HEADER_LEN};
+use crate::segment::{self, segment_path, SegmentScan, SegmentWriter, HEADER_LEN};
 use crate::series::Point;
 use crate::store::Store;
 use crate::SeriesKey;
@@ -30,13 +33,13 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread;
 
 /// When to fsync appended records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// fsync after every append (and every batch): an acknowledged record
+    /// Every append call ends in a sync barrier: an acknowledged record
     /// survives any crash.
     Always,
     /// Group commit: fsync once per `n` records.
@@ -71,11 +74,10 @@ impl fmt::Display for FsyncPolicy {
     }
 }
 
-/// One logged store mutation.
+/// One logged control record. Samples never take this form: they travel
+/// as binary `K`/`B` frames ([`Wal::append_samples`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// A sample append (`Store::write` / one element of `write_batch`).
-    Sample { key: SeriesKey, point: Point },
     /// A quality-flag annotation (`Store::annotate`).
     Annotate { key: SeriesKey, from: i64, to: i64, flags: QualityFlags },
     /// A retention cutoff (`Store::retain_from`).
@@ -99,7 +101,7 @@ impl fmt::Display for WalCodecError {
             WalCodecError::Empty => write!(f, "empty record payload"),
             WalCodecError::UnknownKind(k) => write!(f, "unknown record kind {k:#04x}"),
             WalCodecError::NotUtf8 => write!(f, "record body is not UTF-8"),
-            WalCodecError::Line(e) => write!(f, "bad line body: {e}"),
+            WalCodecError::Line(e) => write!(f, "bad key token: {e}"),
             WalCodecError::Malformed(s) => write!(f, "malformed record body: {s}"),
         }
     }
@@ -114,27 +116,17 @@ impl From<LineProtoError> for WalCodecError {
 }
 
 impl WalRecord {
-    /// Kind byte leading the payload.
-    fn kind(&self) -> u8 {
-        match self {
-            WalRecord::Sample { .. } => b'S',
-            WalRecord::Annotate { .. } => b'A',
-            WalRecord::Retain { .. } => b'R',
-        }
-    }
-
-    /// Encode to a segment payload. Fails only for keys/values the line
-    /// protocol rejects (non-finite samples, control characters).
+    /// Encode to a segment payload: a kind byte and a text body. Fails only
+    /// for keys the key-token codec rejects (control characters).
     pub fn encode(&self) -> Result<Vec<u8>, LineProtoError> {
-        let body = match self {
-            WalRecord::Sample { key, point } => format_line(key, *point)?,
+        let (kind, body) = match self {
             WalRecord::Annotate { key, from, to, flags } => {
-                format!("{} {from} {to} {flags}", format_key(key)?)
+                (b'A', format!("{} {from} {to} {flags}", format_key(key)?))
             }
-            WalRecord::Retain { cutoff } => format!("{cutoff}"),
+            WalRecord::Retain { cutoff } => (b'R', format!("{cutoff}")),
         };
         let mut out = Vec::with_capacity(body.len() + 1);
-        out.push(self.kind());
+        out.push(kind);
         out.extend_from_slice(body.as_bytes());
         Ok(out)
     }
@@ -144,13 +136,9 @@ impl WalRecord {
         let (&kind, body) = payload.split_first().ok_or(WalCodecError::Empty)?;
         let body = std::str::from_utf8(body).map_err(|_| WalCodecError::NotUtf8)?;
         match kind {
-            b'S' => {
-                let (key, point) = parse_line(body)?;
-                Ok(WalRecord::Sample { key, point })
-            }
             b'A' => {
-                // The key token may contain escaped spaces; split like the
-                // line parser does.
+                // The key token may contain escaped spaces; split honouring
+                // the escapes.
                 let sections = crate::lineproto::split_sections(body);
                 let [keytok, from, to, flags] = sections.as_slice() else {
                     return Err(WalCodecError::Malformed(body.to_string()));
@@ -176,6 +164,51 @@ impl WalRecord {
     }
 }
 
+/// Bytes of one packed sample entry in a `B` frame:
+/// `u32 key id | i64 t | f64 bits`, all little-endian.
+const SAMPLE_ENTRY: usize = 20;
+
+/// Largest packed-sample slice per `B` frame: the frame payload is the kind
+/// byte plus the slice, and must stay within [`segment::MAX_PAYLOAD`].
+const B_FRAME_MAX: usize =
+    (segment::MAX_PAYLOAD as usize - 1) / SAMPLE_ENTRY * SAMPLE_ENTRY;
+
+/// Append one packed sample entry to `out`.
+fn push_entry(out: &mut Vec<u8>, id: u32, p: Point) {
+    out.extend_from_slice(&id.to_le_bytes());
+    out.extend_from_slice(&p.t.to_le_bytes());
+    out.extend_from_slice(&p.v.to_bits().to_le_bytes());
+}
+
+/// Fill `buf` with a `K` payload binding `id` to an escaped key token.
+fn key_payload(buf: &mut Vec<u8>, id: u32, token: &str) {
+    buf.clear();
+    buf.push(b'K');
+    buf.extend_from_slice(&id.to_le_bytes());
+    buf.extend_from_slice(token.as_bytes());
+}
+
+/// Fill `buf` with a `B` payload carrying packed entries.
+fn batch_payload(buf: &mut Vec<u8>, entries: &[u8]) {
+    buf.clear();
+    buf.push(b'B');
+    buf.extend_from_slice(entries);
+}
+
+/// The `(key id, point)` entries of a `B` frame payload, or `None` when
+/// the payload is another kind. A trailing partial entry is ignored.
+pub fn sample_entries(payload: &[u8]) -> Option<impl Iterator<Item = (u32, Point)> + '_> {
+    let (&kind, body) = payload.split_first()?;
+    (kind == b'B').then(|| {
+        body.chunks_exact(SAMPLE_ENTRY).map(|e| {
+            let id = u32::from_le_bytes(e[..4].try_into().unwrap());
+            let t = i64::from_le_bytes(e[4..12].try_into().unwrap());
+            let v = f64::from_bits(u64::from_le_bytes(e[12..].try_into().unwrap()));
+            (id, Point::new(t, v))
+        })
+    })
+}
+
 /// A durable position in the log: everything up to and including
 /// `(segment, offset)` has been applied (offsets are frame boundaries as
 /// returned by the segment writer).
@@ -191,22 +224,18 @@ struct Inner {
     since_sync: u32,
 }
 
-/// Message to the background writer thread (group-commit modes).
+/// Message to the background writer thread.
 enum Msg {
-    /// Packed sample entries ([`SAMPLE_ENTRY`] bytes each: token id, t,
-    /// f64 bits, all LE). Consecutive staged samples collapse into one
-    /// `Bin`, so the producer's per-sample cost is a short memcpy and the
-    /// writer checksums and writes a whole burst as one frame.
+    /// Packed sample entries ([`SAMPLE_ENTRY`] bytes each). Consecutive
+    /// staged samples collapse into one `Bin`, so the producer's per-sample
+    /// cost is a short memcpy and the writer checksums and writes a whole
+    /// burst as one frame.
     Bin(Vec<u8>),
-    Rec(Box<WalRecord>),
+    /// Control records; consecutive appends share one batch.
     Batch(Vec<WalRecord>),
     /// Flush + fsync barrier; the ack carries the result.
     Sync(Sender<io::Result<()>>),
 }
-
-/// Bytes of one packed sample entry in a `Bin` / `B` frame:
-/// `u32 token id | i64 t | f64 bits`, all little-endian.
-const SAMPLE_ENTRY: usize = 20;
 
 /// How many packed sample bytes accumulate before the producer forwards the
 /// staged batch to the writer thread. Each forward wakes the (usually
@@ -219,14 +248,9 @@ const SAMPLE_ENTRY: usize = 20;
 /// checkpoint is the acknowledgment unit, and `always` is the no-loss mode.
 const STAGE_SAMPLE_BYTES: usize = 256 * 1024;
 
-/// How many staged control messages (non-sample records, which are rare)
-/// force a forward on their own.
+/// How many staged messages, or control records in one batch (they are
+/// rare), force a forward on their own.
 const STAGE_FLUSH: usize = 1024;
-
-/// Largest packed-sample slice per `B` frame: the frame payload is the kind
-/// byte plus the slice, and must stay within [`segment::MAX_PAYLOAD`].
-const B_FRAME_MAX: usize =
-    (segment::MAX_PAYLOAD as usize - 1) / SAMPLE_ENTRY * SAMPLE_ENTRY;
 
 /// State shared between the append handle and the writer thread.
 struct Shared {
@@ -355,10 +379,7 @@ fn writer_loop(shared: Arc<Shared>, rx: mpsc::Receiver<Vec<Msg>>) {
                     if defined.len() <= id {
                         defined.resize(id + 1, false);
                     }
-                    buf.clear();
-                    buf.push(b'K');
-                    buf.extend_from_slice(&(id as u32).to_le_bytes());
-                    buf.extend_from_slice(tokens[id].as_bytes());
+                    key_payload(buf, id as u32, &tokens[id]);
                     if let Err(e) = shared.append_payload(inner, buf) {
                         shared.note_write_error(&e);
                     }
@@ -369,9 +390,7 @@ fn writer_loop(shared: Arc<Shared>, rx: mpsc::Receiver<Vec<Msg>>) {
                         metrics().wal_shed_samples.add((chunk.len() / SAMPLE_ENTRY) as u64);
                         continue;
                     }
-                    buf.clear();
-                    buf.push(b'B');
-                    buf.extend_from_slice(chunk);
+                    batch_payload(buf, chunk);
                     match shared.append_payload(inner, buf) {
                         Ok(()) => *pending += (chunk.len() / SAMPLE_ENTRY) as u32,
                         Err(e) => {
@@ -383,16 +402,6 @@ fn writer_loop(shared: Arc<Shared>, rx: mpsc::Receiver<Vec<Msg>>) {
                             }
                         }
                     }
-                }
-            }
-            Msg::Rec(rec) => {
-                if let Err(e) = shared.append_record(inner, &rec) {
-                    shared.note_write_error(&e);
-                    if is_enospc(&e) {
-                        metrics().wal_write_errors.inc();
-                    }
-                } else {
-                    *pending += 1;
                 }
             }
             Msg::Batch(recs) => {
@@ -453,35 +462,58 @@ fn writer_loop(shared: Arc<Shared>, rx: mpsc::Receiver<Vec<Msg>>) {
     let _ = shared.sync_now(&mut inner);
 }
 
+/// Continue segment `seq` from byte `len`, unless its header is one replay
+/// rejects: then leave that file untouched and start segment `seq + 1`, so
+/// no frame is ever appended where replay cannot read it.
+fn continue_segment(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    seq: u64,
+    path: &Path,
+    scan: &SegmentScan,
+    len: u64,
+) -> io::Result<Inner> {
+    if scan.bad_header {
+        let seq = seq + 1;
+        return Ok(Inner {
+            writer: SegmentWriter::create_with(vfs, &segment_path(dir, seq))?,
+            seq,
+            since_sync: 0,
+        });
+    }
+    Ok(Inner { writer: SegmentWriter::open_end_with(vfs, path, len)?, seq, since_sync: 0 })
+}
+
 /// The write-ahead log: an append handle over a directory of segments.
 ///
-/// Commit modes `every-n` and `never` run appends through a dedicated
-/// writer thread (group commit off the measurement hot path); `always`
-/// stays synchronous so an acknowledged append has already been fsynced
-/// when the call returns.
+/// Appends are staged on the caller's thread and written by a dedicated
+/// writer thread (group commit off the measurement hot path). Under
+/// `always` every public append call ends in a sync barrier, so an
+/// acknowledged append has been fsynced when the call returns.
 pub struct Wal {
     shared: Arc<Shared>,
-    /// Staged messages not yet forwarded to the writer thread (async modes
-    /// only). Kept producer-side so a staging push is a cheap uncontended
-    /// lock, not a channel wake.
+    /// Staged messages not yet forwarded to the writer thread. Kept
+    /// producer-side so a staging push is a cheap uncontended lock, not a
+    /// channel wake. Forwards happen under this lock, so the writer sees
+    /// messages in staging order.
     stage: Mutex<Vec<Msg>>,
-    /// `Some` in async (writer-thread) mode, `None` for `always`.
-    tx: Option<Sender<Vec<Msg>>>,
+    tx: Sender<Vec<Msg>>,
     writer_thread: Option<thread::JoinHandle<()>>,
 }
 
 impl Drop for Wal {
     fn drop(&mut self) {
-        // Forward the staged tail, then disconnect the channel so the writer
-        // drains and flushes, then join it — a dropped handle leaves every
-        // queued record on disk.
-        if let Some(tx) = &self.tx {
-            let staged = std::mem::take(&mut *self.stage.lock().unwrap());
-            if !staged.is_empty() {
-                let _ = tx.send(staged);
-            }
+        // Forward the staged tail, then disconnect the channel (by swapping
+        // in the sender of a dead one) so the writer drains and flushes,
+        // then join it — a dropped handle leaves every queued record on
+        // disk.
+        let mut stage = self.stage.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let staged = std::mem::take(&mut *stage);
+        drop(stage);
+        if !staged.is_empty() {
+            let _ = self.tx.send(staged);
         }
-        drop(self.tx.take());
+        drop(std::mem::replace(&mut self.tx, mpsc::channel().0));
         if let Some(h) = self.writer_thread.take() {
             let _ = h.join();
         }
@@ -489,8 +521,8 @@ impl Drop for Wal {
 }
 
 impl Wal {
-    /// Wrap freshly-opened segment state in a handle, spawning the writer
-    /// thread for the asynchronous commit modes.
+    /// Wrap freshly-opened segment state in a handle and spawn its writer
+    /// thread.
     fn finish(
         dir: &Path,
         policy: FsyncPolicy,
@@ -507,35 +539,19 @@ impl Wal {
             inner: Mutex::new(inner),
             tokens: Mutex::new(Vec::new()),
         });
-        let stage = Mutex::new(Vec::new());
-        if policy == FsyncPolicy::Always {
-            return Wal { shared, stage, tx: None, writer_thread: None };
-        }
         let (tx, rx) = mpsc::channel();
         let thread_shared = Arc::clone(&shared);
         let h = thread::Builder::new()
             .name("tsdb-wal".into())
             .spawn(move || writer_loop(thread_shared, rx))
             .expect("spawn wal writer thread");
-        Wal { shared, stage, tx: Some(tx), writer_thread: Some(h) }
-    }
-
-    /// Stage one message, forwarding a full batch to the writer thread when
-    /// the staging buffer reaches [`STAGE_FLUSH`].
-    fn enqueue(&self, tx: &Sender<Vec<Msg>>, msg: Msg) {
-        let mut stage = self.stage.lock().unwrap();
-        stage.push(msg);
-        if stage.len() >= STAGE_FLUSH {
-            let batch = std::mem::replace(&mut *stage, Vec::with_capacity(STAGE_FLUSH));
-            drop(stage);
-            if tx.send(batch).is_err() {
-                metrics().wal_write_errors.inc();
-            }
-        }
+        Wal { shared, stage: Mutex::new(Vec::new()), tx, writer_thread: Some(h) }
     }
 
     /// Open (or create) the log in `dir`, continuing after the last intact
     /// record of the newest segment. A torn tail is truncated and counted.
+    /// A segment of another format version is refused (`InvalidData`); any
+    /// other unreadable header on the newest segment starts the next one.
     pub fn open(dir: &Path, policy: FsyncPolicy, rotate_bytes: u64) -> io::Result<Wal> {
         Wal::open_with(dir, policy, rotate_bytes, manic_vfs::real())
     }
@@ -552,14 +568,10 @@ impl Wal {
         let inner = match segments.last() {
             Some(&(seq, ref path)) => {
                 let scan = segment::scan_with(&*vfs, path, 0, false)?;
-                if scan.torn {
+                if scan.torn && !scan.bad_header {
                     metrics().wal_torn_records.inc();
                 }
-                Inner {
-                    writer: SegmentWriter::open_end_with(&*vfs, path, scan.valid_len)?,
-                    seq,
-                    since_sync: 0,
-                }
+                continue_segment(&*vfs, dir, seq, path, &scan, scan.valid_len)?
             }
             None => Inner {
                 writer: SegmentWriter::create_with(&*vfs, &segment_path(dir, 1))?,
@@ -575,7 +587,8 @@ impl Wal {
     /// `pos` is truncated to `pos.offset`. Used on resume-from-checkpoint —
     /// the discarded tail was never acknowledged by a checkpoint and is
     /// regenerated by deterministic re-execution. Returns the log and the
-    /// number of intact records discarded.
+    /// number of intact frames discarded. Headers are handled as in
+    /// [`Self::open`].
     pub fn open_at(
         dir: &Path,
         policy: FsyncPolicy,
@@ -609,18 +622,14 @@ impl Wal {
             Some(path) => {
                 let scan = segment::scan_with(&*vfs, &path, pos.offset, false)?;
                 discarded += scan.records.len() as u64;
-                if scan.torn && scan.valid_len > pos.offset {
+                if scan.torn && !scan.bad_header && scan.valid_len > pos.offset {
                     metrics().wal_torn_records.inc();
                 }
                 // The checkpoint position was durable when written; a file
                 // that is nonetheless shorter (or torn earlier) only loses
                 // records the checkpoint snapshot already covers.
                 let valid = pos.offset.min(scan.valid_len).max(HEADER_LEN);
-                Inner {
-                    writer: SegmentWriter::open_end_with(&*vfs, &path, valid)?,
-                    seq: pos.segment,
-                    since_sync: 0,
-                }
+                continue_segment(&*vfs, dir, pos.segment, &path, &scan, valid)?
             }
             None => Inner {
                 writer: SegmentWriter::create_with(&*vfs, &segment_path(dir, pos.segment.max(1)))?,
@@ -646,109 +655,42 @@ impl Wal {
         self.shared.degraded.load(Ordering::Relaxed)
     }
 
-    /// Append one record under the configured commit policy. Failures are
-    /// counted (`manic_tsdb_wal_write_errors`) but do not poison the log
-    /// handle — the in-memory store stays authoritative.
-    pub fn append(&self, rec: WalRecord) {
-        match &self.tx {
-            Some(tx) => self.enqueue(tx, Msg::Rec(Box::new(rec))),
-            None => {
-                // Synchronous mode sheds raw samples under ENOSPC too;
-                // control records are always attempted.
-                if self.shared.degraded.load(Ordering::Relaxed) {
-                    if let WalRecord::Sample { .. } = rec {
-                        metrics().wal_shed_samples.inc();
-                        return;
-                    }
-                }
-                let mut inner = self.shared.inner.lock().unwrap();
-                if let Err(e) = self
-                    .shared
-                    .append_record(&mut inner, &rec)
-                    .and_then(|()| self.shared.commit(&mut inner, 1))
-                {
-                    self.shared.note_write_error(&e);
-                    if is_enospc(&e) && !matches!(rec, WalRecord::Sample { .. }) {
-                        metrics().wal_write_errors.inc();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Sample fast path: `token` caches this series' id in the WAL's
-    /// key-token registry (registered here on first use), so steady-state
-    /// appends cost a [`SAMPLE_ENTRY`]-byte memcpy into the staging buffer
-    /// on the caller's thread — no refcount traffic, no encoding.
-    pub fn append_sample(&self, key: &SeriesKey, token: &OnceLock<u32>, point: Point) {
-        let Some(tx) = &self.tx else {
-            // Synchronous (`always`) mode: the slow path already fsyncs per
-            // record; encoding cost is noise there.
-            self.append(WalRecord::Sample { key: key.clone(), point });
-            return;
-        };
-        if !point.v.is_finite() {
-            // Mirrors `format_line`'s rejection on the text path.
-            metrics().wal_write_errors.inc();
-            return;
-        }
-        let id = match token.get() {
-            Some(&id) => id,
-            None => match format_key(key) {
-                Ok(s) => {
-                    let mut tokens = self.shared.tokens.lock().unwrap();
-                    let id = tokens.len() as u32;
-                    tokens.push(s.into());
-                    drop(tokens);
-                    // A racing registration wastes one registry slot; both
-                    // slots hold the same token text, so either id encodes
-                    // identically.
-                    *token.get_or_init(|| id)
-                }
-                Err(_) => {
-                    metrics().wal_write_errors.inc();
-                    return;
-                }
-            },
-        };
-        let mut entry = [0u8; SAMPLE_ENTRY];
-        entry[..4].copy_from_slice(&id.to_le_bytes());
-        entry[4..12].copy_from_slice(&point.t.to_le_bytes());
-        entry[12..].copy_from_slice(&point.v.to_bits().to_le_bytes());
-        let mut stage = self.stage.lock().unwrap();
-        let bin = match stage.last_mut() {
-            Some(Msg::Bin(b)) => b,
-            _ => {
-                stage.push(Msg::Bin(Vec::with_capacity(STAGE_SAMPLE_BYTES)));
-                let Some(Msg::Bin(b)) = stage.last_mut() else { unreachable!() };
-                b
-            }
-        };
-        bin.extend_from_slice(&entry);
-        if bin.len() >= STAGE_SAMPLE_BYTES {
-            let batch = std::mem::take(&mut *stage);
+    /// Finish an append call holding the stage lock: forward the staged
+    /// messages when `full`, and under `always` end in a sync barrier.
+    fn release(&self, mut stage: MutexGuard<'_, Vec<Msg>>, full: bool) {
+        if self.shared.policy == FsyncPolicy::Always {
             drop(stage);
-            if tx.send(batch).is_err() {
-                metrics().wal_write_errors.inc();
-            }
+            // I/O failures are counted by the writer thread at the barrier.
+            let _ = self.flush_and_sync();
+        } else if full && self.tx.send(std::mem::take(&mut *stage)).is_err() {
+            metrics().wal_write_errors.inc();
         }
     }
 
-    /// Batched [`Self::append_sample`]: all of `points` land in the staging
-    /// buffer under a single stage-lock acquisition, with one flush check at
-    /// the end. Byte-identical to appending the points one by one.
+    /// Append one control record under the configured commit policy.
+    /// Failures are counted (`manic_tsdb_wal_write_errors`) but do not
+    /// poison the log handle — the in-memory store stays authoritative.
+    pub fn append(&self, rec: WalRecord) {
+        let mut stage = self.stage.lock().unwrap();
+        if let Some(Msg::Batch(recs)) = stage.last_mut() {
+            recs.push(rec);
+        } else {
+            stage.push(Msg::Batch(vec![rec]));
+        }
+        let full = stage.len() >= STAGE_FLUSH
+            || matches!(stage.last(), Some(Msg::Batch(recs)) if recs.len() >= STAGE_FLUSH);
+        self.release(stage, full);
+    }
+
+    /// Append samples of one series. `token` caches the series' id in the
+    /// WAL's key-token registry (registered here on first use), so
+    /// steady-state appends cost one [`SAMPLE_ENTRY`]-byte memcpy per point
+    /// into the staging buffer on the caller's thread — no refcount
+    /// traffic, no encoding. Non-finite values are rejected and counted.
     pub fn append_samples(&self, key: &SeriesKey, token: &OnceLock<u32>, points: &[Point]) {
         if points.is_empty() {
             return;
         }
-        let Some(tx) = &self.tx else {
-            // Synchronous (`always`) mode fsyncs per record anyway; the
-            // batching win is irrelevant there.
-            for p in points {
-                self.append(WalRecord::Sample { key: key.clone(), point: *p });
-            }
-            return;
-        };
         let id = match token.get() {
             Some(&id) => id,
             None => match format_key(key) {
@@ -777,71 +719,32 @@ impl Wal {
                 b
             }
         };
-        for point in points {
-            if !point.v.is_finite() {
-                // Mirrors `format_line`'s rejection on the text path.
-                metrics().wal_write_errors.inc();
-                continue;
-            }
-            let mut entry = [0u8; SAMPLE_ENTRY];
-            entry[..4].copy_from_slice(&id.to_le_bytes());
-            entry[4..12].copy_from_slice(&point.t.to_le_bytes());
-            entry[12..].copy_from_slice(&point.v.to_bits().to_le_bytes());
-            bin.extend_from_slice(&entry);
-        }
-        if bin.len() >= STAGE_SAMPLE_BYTES {
-            let batch = std::mem::take(&mut *stage);
-            drop(stage);
-            if tx.send(batch).is_err() {
+        for &point in points {
+            if point.v.is_finite() {
+                push_entry(bin, id, point);
+            } else {
                 metrics().wal_write_errors.inc();
             }
         }
-    }
-
-    /// Append many records with a single group-commit decision.
-    pub fn append_batch(&self, recs: Vec<WalRecord>) {
-        if recs.is_empty() {
-            return;
-        }
-        match &self.tx {
-            Some(tx) => self.enqueue(tx, Msg::Batch(recs)),
-            None => {
-                let mut inner = self.shared.inner.lock().unwrap();
-                let mut ok = 0u32;
-                for rec in &recs {
-                    match self.shared.append_record(&mut inner, rec) {
-                        Ok(()) => ok += 1,
-                        Err(_) => metrics().wal_write_errors.inc(),
-                    }
-                }
-                if self.shared.commit(&mut inner, ok).is_err() {
-                    metrics().wal_write_errors.inc();
-                }
-            }
-        }
+        let full = bin.len() >= STAGE_SAMPLE_BYTES;
+        self.release(stage, full);
     }
 
     /// Flush buffers and fsync regardless of policy (checkpoint and drain
-    /// paths). In async mode this is a barrier: every append enqueued
-    /// before this call is on disk when it returns.
+    /// paths). This is a barrier: every append staged before this call is
+    /// on disk when it returns.
     pub fn flush_and_sync(&self) -> io::Result<()> {
-        if let Some(tx) = &self.tx {
-            let (ack_tx, ack_rx) = mpsc::channel();
-            let gone = || io::Error::new(io::ErrorKind::BrokenPipe, "wal writer thread gone");
+        let (ack_tx, ack_rx) = mpsc::channel();
+        let gone = || io::Error::new(io::ErrorKind::BrokenPipe, "wal writer thread gone");
+        {
             // The staged tail rides in front of the barrier in one batch so
-            // the sync covers everything enqueued before this call.
-            let mut batch = std::mem::take(&mut *self.stage.lock().unwrap());
+            // the sync covers everything staged before this call.
+            let mut stage = self.stage.lock().unwrap();
+            let mut batch = std::mem::take(&mut *stage);
             batch.push(Msg::Sync(ack_tx));
-            tx.send(batch).map_err(|_| gone())?;
-            return ack_rx.recv().map_err(|_| gone())?;
+            self.tx.send(batch).map_err(|_| gone())?;
         }
-        let mut inner = self.shared.inner.lock().unwrap();
-        let r = self.shared.sync_now(&mut inner);
-        if r.is_ok() {
-            // Same optimistic re-probe the writer thread does at barriers.
-            self.shared.degraded.store(false, Ordering::Relaxed);
-        }
-        r
+        ack_rx.recv().map_err(|_| gone())?
     }
 
     /// Current end-of-log position. Meaningful as a durability point only
@@ -865,6 +768,40 @@ impl Wal {
         }
         Ok(removed)
     }
+}
+
+/// Write `store` as a snapshot segment at `path`, in the log's own frames:
+/// per series in sorted key order, a `K` frame, its points in `B` frames of
+/// at most [`B_FRAME_MAX`] bytes, then its quality windows as `A` frames.
+/// [`replay_segment_file`] rebuilds the same contents from it, bit for bit
+/// (non-finite values included). The file is synced; returns its length.
+pub fn write_snapshot(vfs: &dyn Vfs, path: &Path, store: &Store) -> io::Result<u64> {
+    let bad_key = |e: LineProtoError| io::Error::new(io::ErrorKind::InvalidInput, e.to_string());
+    let mut w = SegmentWriter::create_with(vfs, path)?;
+    let (mut buf, mut entries) = (Vec::new(), Vec::new());
+    let mut id = 0u32;
+    store.for_each_series(|key, ts, vs, windows| -> io::Result<()> {
+        if !ts.is_empty() {
+            key_payload(&mut buf, id, &format_key(key).map_err(bad_key)?);
+            w.append(&buf)?;
+            entries.clear();
+            for (&t, &v) in ts.iter().zip(vs) {
+                push_entry(&mut entries, id, Point::new(t, v));
+            }
+            for chunk in entries.chunks(B_FRAME_MAX) {
+                batch_payload(&mut buf, chunk);
+                w.append(&buf)?;
+            }
+            id += 1;
+        }
+        for &(from, to, flags) in windows {
+            let rec = WalRecord::Annotate { key: key.clone(), from, to, flags };
+            w.append(&rec.encode().map_err(bad_key)?)?;
+        }
+        Ok(())
+    })?;
+    w.sync()?;
+    Ok(w.offset())
 }
 
 /// Outcome of a replay.
@@ -908,7 +845,32 @@ fn replay_payloads(
     report: &mut ReplayReport,
     keymap: &mut Vec<Option<SeriesKey>>,
 ) {
+    let mut run: Vec<Point> = Vec::new();
     for (_, payload) in payloads {
+        // Packed samples: each run of consecutive entries of one series
+        // applies as one batch.
+        if let Some(entries) = sample_entries(payload) {
+            if (payload.len() - 1) % SAMPLE_ENTRY != 0 {
+                report.decode_errors += 1;
+            }
+            let mut entries = entries.peekable();
+            while let Some((id, p)) = entries.next() {
+                run.clear();
+                run.push(p);
+                while let Some((_, p)) = entries.next_if(|&(next, _)| next == id) {
+                    run.push(p);
+                }
+                match keymap.get(id as usize).and_then(Option::as_ref) {
+                    Some(key) => {
+                        store.write_batch(key, &run);
+                        report.samples += run.len() as u64;
+                        metrics().wal_replayed_records.add(run.len() as u64);
+                    }
+                    None => report.decode_errors += run.len() as u64,
+                }
+            }
+            continue;
+        }
         match payload.split_first() {
             // Key definition: `u32 LE id` + escaped key token. Later
             // definitions overwrite — ids restart at 0 whenever the log is
@@ -930,30 +892,9 @@ fn replay_payloads(
                     None => report.decode_errors += 1,
                 }
             }
-            // Packed sample batch: SAMPLE_ENTRY-byte entries.
-            Some((b'B', body)) => {
-                if body.len() % SAMPLE_ENTRY != 0 {
-                    report.decode_errors += 1;
-                }
-                for e in body.chunks_exact(SAMPLE_ENTRY) {
-                    let id = u32::from_le_bytes(e[..4].try_into().unwrap()) as usize;
-                    let t = i64::from_le_bytes(e[4..12].try_into().unwrap());
-                    let v = f64::from_bits(u64::from_le_bytes(e[12..].try_into().unwrap()));
-                    match keymap.get(id).and_then(Option::as_ref) {
-                        Some(key) => {
-                            let rec = WalRecord::Sample { key: key.clone(), point: Point::new(t, v) };
-                            store.apply_record(&rec);
-                            report.samples += 1;
-                            metrics().wal_replayed_records.inc();
-                        }
-                        None => report.decode_errors += 1,
-                    }
-                }
-            }
             _ => match WalRecord::decode(payload) {
                 Ok(rec) => {
                     match rec {
-                        WalRecord::Sample { .. } => report.samples += 1,
                         WalRecord::Annotate { .. } => report.annotations += 1,
                         WalRecord::Retain { .. } => report.retains += 1,
                     }
@@ -994,24 +935,9 @@ pub fn replay_segment_file_with(
 
 /// First and last sample timestamps carried by a payload, if any.
 fn payload_times(payload: &[u8]) -> Option<(i64, i64)> {
-    match payload.split_first() {
-        Some((b'B', body)) => {
-            let n = body.len() / SAMPLE_ENTRY;
-            if n == 0 {
-                return None;
-            }
-            let t_at = |i: usize| {
-                let e = &body[i * SAMPLE_ENTRY..(i + 1) * SAMPLE_ENTRY];
-                i64::from_le_bytes(e[4..12].try_into().unwrap())
-            };
-            Some((t_at(0), t_at(n - 1)))
-        }
-        Some((b'S', _)) => match WalRecord::decode(payload) {
-            Ok(WalRecord::Sample { point, .. }) => Some((point.t, point.t)),
-            _ => None,
-        },
-        _ => None,
-    }
+    let mut ts = sample_entries(payload)?.map(|(_, p)| p.t);
+    let first = ts.next()?;
+    Some((first, ts.last().unwrap_or(first)))
 }
 
 /// Conservative GAP window bracketing a quarantined byte range: from the
@@ -1144,7 +1070,6 @@ pub fn replay_dir(dir: &Path, store: &Store) -> io::Result<ReplayReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::Point;
 
     fn k(link: &str) -> SeriesKey {
         SeriesKey::with_tags("tslp", &[("vp", "v1"), ("link", link), ("end", "far")])
@@ -1175,7 +1100,6 @@ mod tests {
     #[test]
     fn record_codec_roundtrip() {
         let records = vec![
-            WalRecord::Sample { key: k("1.2.3.4"), point: Point::new(300, 18.5) },
             WalRecord::Annotate { key: k("od d,=\\"), from: 0, to: 600, flags: 0b1010 },
             WalRecord::Retain { cutoff: -12345 },
         ];
@@ -1187,7 +1111,7 @@ mod tests {
         assert!(matches!(WalRecord::decode(b"Zx"), Err(WalCodecError::UnknownKind(b'Z'))));
         assert!(matches!(WalRecord::decode(b"A only-a-key"), Err(WalCodecError::Malformed(_))));
         assert!(matches!(WalRecord::decode(b"Rnot-a-number"), Err(WalCodecError::Malformed(_))));
-        assert!(matches!(WalRecord::decode(&[b'S', 0xFF, 0xFE]), Err(WalCodecError::NotUtf8)));
+        assert!(matches!(WalRecord::decode(&[b'A', 0xFF, 0xFE]), Err(WalCodecError::NotUtf8)));
     }
 
     #[test]
@@ -1265,7 +1189,7 @@ mod tests {
             live.write(&k("a"), t * 300, t as f64);
             live.write(&k("c"), t * 300, 0.5);
         }
-        // NaN is rejected on the fast path too, not silently corrupted.
+        // NaN is rejected by the log, not silently corrupted.
         live.write(&k("a"), 99_000, f64::NAN);
         wal.flush_and_sync().unwrap();
         drop(wal);
@@ -1304,9 +1228,12 @@ mod tests {
         }
         let (_, path) = segment::list_segments(&dir).unwrap().pop().unwrap();
         let clean = segment::scan(&path, 0).unwrap();
-        assert_eq!(clean.records.len(), 10);
-        // Flip one payload byte inside the 6th frame (sample t=1500).
-        let frame_start = clean.records[4].0;
+        // Under `always` every write ends in its own barrier, so each
+        // sample is a `K` frame followed by a one-entry `B` frame.
+        assert_eq!(clean.records.len(), 20);
+        // Flip one payload byte inside the 6th sample's `B` frame (t=1500),
+        // which starts where its `K` frame (index 10) ends.
+        let frame_start = clean.records[10].0;
         let mut raw = std::fs::read(&path).unwrap();
         raw[frame_start as usize + 9] ^= 0x01;
         std::fs::write(&path, &raw).unwrap();
@@ -1378,10 +1305,79 @@ mod tests {
         drop((store, wal));
 
         let (wal2, discarded) = Wal::open_at(&dir, FsyncPolicy::Always, 1 << 20, ack).unwrap();
-        assert_eq!(discarded, 4, "post-checkpoint tail discarded");
+        // Four post-checkpoint writes under `always`: a `K` and a `B` frame
+        // each.
+        assert_eq!(discarded, 8, "post-checkpoint tail discarded");
         assert_eq!(wal2.position(), ack);
         let rebuilt = Store::new();
         assert_eq!(replay_dir(&dir, &rebuilt).unwrap().samples, 5);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn other_format_version_is_refused_and_left_untouched() {
+        let dir = tmpdir("oldversion");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = segment_path(&dir, 1);
+        // A version-1 segment: its header and one text sample frame.
+        let mut old = b"MANICWA1".to_vec();
+        let payload = b"Stslp,link=a value=1 300";
+        old.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        old.extend_from_slice(&segment::crc32(payload).to_le_bytes());
+        old.extend_from_slice(payload);
+        std::fs::write(&path, &old).unwrap();
+
+        let at = WalPosition { segment: 1, offset: HEADER_LEN };
+        let errors = [
+            Wal::open(&dir, FsyncPolicy::Always, 1 << 20).err().expect("open refuses"),
+            Wal::open_at(&dir, FsyncPolicy::EveryN(8), 1 << 20, at).err().expect("open_at refuses"),
+            replay_dir(&dir, &Store::new()).expect_err("replay refuses"),
+            replay_segment_file(&path, &Store::new()).expect_err("snapshot replay refuses"),
+        ];
+        for e in errors {
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert!(segment::is_version_mismatch(&e));
+            let msg = e.to_string();
+            assert!(msg.contains("MANICWA1") && msg.contains("MANICWA2"), "{msg}");
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), old, "refused segment is untouched");
+        assert_eq!(segment::list_segments(&dir).unwrap().len(), 1, "no segment started");
+        let other = io::Error::new(io::ErrorKind::InvalidData, "another invalid-data error");
+        assert!(!segment::is_version_mismatch(&other));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unreadable_header_starts_the_next_segment() {
+        let dir = tmpdir("badheader");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = segment_path(&dir, 1);
+        let junk = b"NOTMAGIC\x05\x00\x00\x00junk".to_vec();
+        std::fs::write(&path, &junk).unwrap();
+
+        let wal = Arc::new(Wal::open(&dir, FsyncPolicy::EveryN(4), 1 << 20).unwrap());
+        assert_eq!(wal.position(), WalPosition { segment: 2, offset: HEADER_LEN });
+        let live = Store::new();
+        live.attach_wal(Arc::clone(&wal));
+        for t in 0..5 {
+            live.write(&k("a"), t * 300, t as f64);
+        }
+        wal.flush_and_sync().unwrap();
+        drop((live, wal));
+        assert_eq!(std::fs::read(&path).unwrap(), junk, "rejected segment is untouched");
+        // Every acknowledged sample landed where replay reads it.
+        let rebuilt = Store::new();
+        assert_eq!(replay_dir(&dir, &rebuilt).unwrap().samples, 5);
+        assert_eq!(rebuilt.query(&k("a"), 0, 1500).len(), 5);
+
+        // Resuming at a position inside the rejected segment also moves on
+        // (dropping the newer segment as an unacknowledged tail).
+        let at = WalPosition { segment: 1, offset: HEADER_LEN };
+        let (wal, discarded) = Wal::open_at(&dir, FsyncPolicy::EveryN(4), 1 << 20, at).unwrap();
+        assert_eq!(discarded, 2, "the K and B frames of segment 2");
+        assert_eq!(wal.position(), WalPosition { segment: 2, offset: HEADER_LEN });
+        drop(wal);
+        assert_eq!(std::fs::read(&path).unwrap(), junk, "rejected segment is untouched");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

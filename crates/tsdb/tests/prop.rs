@@ -1,6 +1,7 @@
 //! Property-based tests for the tsdb crate.
 
-use manic_tsdb::{parse_line, Aggregate, Point, Series, SeriesKey, Store, TagSet, WalRecord};
+use manic_tsdb::wal::{replay_segment_file, sample_entries, write_snapshot};
+use manic_tsdb::{format_key, parse_key, Aggregate, Point, Series, SeriesKey, Store, TagSet, WalRecord};
 use proptest::prelude::*;
 
 /// The seed's array-of-structs downsampling semantics: collect every bin's
@@ -16,6 +17,28 @@ fn aos_reference_aggregate(vals: &[f64], agg: Aggregate) -> f64 {
         Aggregate::Count => vals.len() as f64,
         Aggregate::Last => *vals.last().unwrap(),
     }
+}
+
+/// Temp path unique to one proptest case.
+fn case_path(tag: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static CASE: AtomicU64 = AtomicU64::new(0);
+    let n = CASE.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("manic-prop-{tag}-{}-{n}.seg", std::process::id()))
+}
+
+/// A store holding `samples` spread round-robin over three series, and
+/// its snapshot segment at `path` (a `K` and a `B` frame per series).
+fn snapshot_of(samples: &[(i64, f64)], path: &std::path::Path) -> (Store, Vec<SeriesKey>) {
+    let keys: Vec<SeriesKey> = (0..3)
+        .map(|i| SeriesKey::with_tags("tslp", &[("vp", "v1"), ("link", &format!("1.2.3.{i}"))]))
+        .collect();
+    let store = Store::new();
+    for (i, &(t, v)) in samples.iter().enumerate() {
+        store.write(&keys[i % keys.len()], t, v);
+    }
+    write_snapshot(&manic_vfs::RealVfs, path, &store).unwrap();
+    (store, keys)
 }
 
 fn arb_aggregate() -> impl Strategy<Value = Aggregate> {
@@ -82,51 +105,41 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Line-protocol roundtrip through arbitrary tag-ish strings.
+    /// Key-token roundtrip through arbitrary tag-ish strings.
     #[test]
-    fn lineproto_roundtrip(
+    fn key_token_roundtrip(
         meas in "[a-z]{1,8}",
         tags in prop::collection::vec(("[a-z]{1,6}", "[a-zA-Z0-9_.-]{1,8}"), 0..4),
-        t in -1_000_000i64..1_000_000,
-        v in -1e9f64..1e9,
     ) {
         let key = SeriesKey::new(
             meas,
             TagSet::from_pairs(tags.iter().map(|(k, v)| (k.clone(), v.clone()))),
         );
-        let line = manic_tsdb::format_line(&key, Point::new(t, v)).expect("finite, clean names");
-        let (k2, p2) = parse_line(&line).unwrap();
-        prop_assert_eq!(key, k2);
-        prop_assert_eq!(p2.t, t);
-        prop_assert!((p2.v - v).abs() <= 1e-9 * v.abs().max(1.0));
+        let tok = format_key(&key).expect("clean names");
+        prop_assert_eq!(parse_key(&tok).unwrap(), key);
     }
 
     /// Hostile names — structural characters, backslashes, spaces — either
     /// format-and-roundtrip exactly or are rejected at format time. No
-    /// silently unparseable line is ever produced.
+    /// silently unparseable token is ever produced.
     #[test]
-    fn lineproto_roundtrips_or_rejects_hostile_names(
+    fn key_token_roundtrips_or_rejects_hostile_names(
         meas in "[a-z ,=\\\\]{1,8}",
         tags in prop::collection::vec(("[a-z ,=\\\\]{1,5}", "[a-z0-9 ,=\\\\._-]{1,8}"), 0..3),
-        t in -1_000_000i64..1_000_000,
-        v in -1e9f64..1e9,
     ) {
         let key = SeriesKey::new(
             meas,
             TagSet::from_pairs(tags.iter().map(|(k, v)| (k.clone(), v.clone()))),
         );
-        if let Ok(line) = manic_tsdb::format_line(&key, Point::new(t, v)) {
-            let (k2, p2) = parse_line(&line).unwrap();
-            prop_assert_eq!(key, k2, "line: {}", line);
-            prop_assert_eq!(p2.t, t);
+        if let Ok(tok) = format_key(&key) {
+            prop_assert_eq!(parse_key(&tok).unwrap(), key, "token: {}", tok);
         }
     }
 
-    /// The line parser never panics, whatever the input.
+    /// The key-token parser never panics, whatever the input.
     #[test]
-    fn parse_line_never_panics(s in "[ -~]{0,80}") {
-        let _ = parse_line(&s);
-        let _ = manic_tsdb::parse_key(&s);
+    fn parse_key_never_panics(s in "[ -~]{0,80}") {
+        let _ = parse_key(&s);
     }
 
     /// Arbitrary bytes never panic the WAL record decoder.
@@ -135,12 +148,10 @@ proptest! {
         let _ = WalRecord::decode(&bytes);
     }
 
-    /// encode -> decode is the identity for valid WAL records.
+    /// encode -> decode is the identity for valid WAL control records.
     #[test]
     fn wal_record_roundtrip(
         link in "[a-z0-9.]{1,12}",
-        t in -1_000_000i64..1_000_000,
-        v in -1e9f64..1e9,
         from in -1000i64..1000,
         len in 1i64..1000,
         flags in 1u8..16,
@@ -148,7 +159,6 @@ proptest! {
     ) {
         let key = SeriesKey::with_tags("tslp", &[("vp", "v1"), ("link", &link)]);
         for rec in [
-            WalRecord::Sample { key: key.clone(), point: Point::new(t, v) },
             WalRecord::Annotate { key, from, to: from + len, flags },
             WalRecord::Retain { cutoff },
         ] {
@@ -158,104 +168,107 @@ proptest! {
         }
     }
 
-    /// Any prefix of a segment file replays cleanly: at worst the final
-    /// record is fenced as torn, never a panic or a half-applied record.
+    /// Any prefix of a snapshot segment replays cleanly: at worst the final
+    /// frame is fenced as torn, never a panic or a half-applied frame. Each
+    /// series is one `B` frame, so it replays whole or not at all.
     #[test]
     fn random_segment_prefix_always_replays(
         samples in prop::collection::vec((0i64..10_000, -1e6f64..1e6), 1..30),
         cut_back in 0usize..200,
     ) {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static CASE: AtomicU64 = AtomicU64::new(0);
-        let n = CASE.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir()
-            .join(format!("manic-prop-seg-{}-{n}.seg", std::process::id()));
-        let mut w = manic_tsdb::segment::SegmentWriter::create(&path).unwrap();
-        let key = SeriesKey::with_tags("tslp", &[("vp", "v1"), ("link", "1.2.3.4")]);
-        for &(t, v) in &samples {
-            let rec = WalRecord::Sample { key: key.clone(), point: Point::new(t, v) };
-            w.append(&rec.encode().unwrap()).unwrap();
-        }
-        let full = w.offset();
-        w.sync().unwrap();
-        drop(w);
+        let path = case_path("seg");
+        let (original, keys) = snapshot_of(&samples, &path);
+        let full = std::fs::metadata(&path).unwrap().len();
         let cut = full.saturating_sub(cut_back as u64);
         std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(cut).unwrap();
 
         let store = Store::new();
-        let report = manic_tsdb::wal::replay_segment_file(&path, &store).unwrap();
+        let report = replay_segment_file(&path, &store).unwrap();
         prop_assert!(report.samples <= samples.len() as u64);
         prop_assert!(report.torn_records <= 1);
         if cut >= full {
             prop_assert_eq!(report.samples, samples.len() as u64, "untouched file replays fully");
             prop_assert_eq!(report.torn_records, 0);
+            prop_assert_eq!(store.content_hash(), original.content_hash());
         }
-        // Replay applied a prefix of the sample sequence, in order.
-        let got = store.query(&key, i64::MIN, i64::MAX);
-        let want: Vec<Point> = {
-            let mut w: Vec<Point> =
-                samples.iter().take(report.samples as usize).map(|&(t, v)| Point::new(t, v)).collect();
-            w.sort_by_key(|p| p.t);
-            w
-        };
-        prop_assert_eq!(got.len(), want.len());
+        // Replay applied a prefix of the series sequence, each series whole.
+        let mut replayed = 0;
+        let mut ended = false;
+        for key in &keys {
+            let got = store.query(key, i64::MIN, i64::MAX);
+            if got.is_empty() {
+                ended = true;
+                continue;
+            }
+            prop_assert!(!ended, "series {} replayed after a missing one", key);
+            prop_assert_eq!(&got, &original.query(key, i64::MIN, i64::MAX));
+            replayed += got.len() as u64;
+        }
+        prop_assert_eq!(replayed, report.samples);
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Flipping any single bit in a sealed segment is recover-or-flag,
-    /// never a panic and never silent divergence: the resync scan applies a
-    /// subset of the original records, and when nothing was flagged (the
-    /// flip landed in dead header space) every record must have survived
-    /// byte-identically.
+    /// Flipping any single bit in a sealed snapshot segment is
+    /// recover-or-flag, never a panic and never silent divergence: the
+    /// resync scan keeps a subset of the original frames, every `(t, v)` a
+    /// CRC-accepted frame carries is one of the originals, and when nothing
+    /// was flagged every frame must have survived byte-identically. A flip
+    /// that turns the version byte into another version's is refused.
     #[test]
     fn segment_bit_flip_recovers_or_flags(
         samples in prop::collection::vec((0i64..10_000, -1e6f64..1e6), 1..30),
         flip in 0usize..1_000_000,
     ) {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static CASE: AtomicU64 = AtomicU64::new(0);
-        let n = CASE.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir()
-            .join(format!("manic-prop-flip-{}-{n}.seg", std::process::id()));
-        let mut w = manic_tsdb::segment::SegmentWriter::create(&path).unwrap();
-        let key = SeriesKey::with_tags("tslp", &[("vp", "v1"), ("link", "1.2.3.4")]);
-        for &(t, v) in &samples {
-            let rec = WalRecord::Sample { key: key.clone(), point: Point::new(t, v) };
-            w.append(&rec.encode().unwrap()).unwrap();
-        }
-        w.sync().unwrap();
-        drop(w);
+        let path = case_path("flip");
+        let (_, keys) = snapshot_of(&samples, &path);
+        let clean = manic_tsdb::segment::scan(&path, 0).unwrap();
 
         let mut bytes = std::fs::read(&path).unwrap();
         let bit = flip % (bytes.len() * 8);
         bytes[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(&path, &bytes).unwrap();
 
-        let scan = manic_tsdb::segment::scan_with(&manic_vfs::RealVfs, &path, 0, true).unwrap();
-        prop_assert!(scan.records.len() <= samples.len());
+        let scan = match manic_tsdb::segment::scan_with(&manic_vfs::RealVfs, &path, 0, true) {
+            Ok(scan) => scan,
+            Err(e) => {
+                prop_assert!(manic_tsdb::segment::is_version_mismatch(&e), "{}", e);
+                prop_assert!(bit / 8 < manic_tsdb::segment::HEADER_LEN as usize);
+                std::fs::remove_file(&path).unwrap();
+                return Ok(());
+            }
+        };
+        prop_assert!(scan.records.len() <= clean.records.len());
         for (_, payload) in &scan.records {
-            // A CRC-intact frame must still decode to one of the original
-            // samples — a flipped-yet-accepted payload would be silent
-            // corruption.
-            match WalRecord::decode(payload) {
-                Ok(WalRecord::Sample { point, .. }) => {
+            // A CRC-intact frame must still carry original data — a
+            // flipped-yet-accepted payload would be silent corruption.
+            if let Some(entries) = sample_entries(payload) {
+                for (_, p) in entries {
                     prop_assert!(
-                        samples.contains(&(point.t, point.v)),
-                        "CRC accepted a mutated sample: ({}, {})", point.t, point.v
+                        samples.contains(&(p.t, p.v)),
+                        "CRC accepted a mutated sample: ({}, {})", p.t, p.v
                     );
                 }
-                Ok(other) => prop_assert!(false, "foreign record surfaced: {other:?}"),
-                Err(_) => {} // flagged downstream as a decode error
+            } else if let Some((b'K', def)) = payload.split_first() {
+                let key = def
+                    .get(4..)
+                    .and_then(|tok| std::str::from_utf8(tok).ok())
+                    .and_then(|tok| parse_key(tok).ok());
+                prop_assert!(
+                    key.is_some_and(|k| keys.contains(&k)),
+                    "CRC accepted a mutated key definition"
+                );
+            } else {
+                prop_assert!(false, "foreign frame surfaced: {:?}", payload);
             }
         }
         let flagged = scan.bad_header
             || scan.torn
             || !scan.quarantined.is_empty()
-            || scan.records.len() < samples.len();
+            || scan.records.len() < clean.records.len();
         if !flagged {
             prop_assert_eq!(
-                scan.records.len(), samples.len(),
-                "unflagged flip must leave every record intact"
+                &scan.records, &clean.records,
+                "unflagged flip must leave every frame intact"
             );
         }
         std::fs::remove_file(&path).unwrap();
