@@ -24,7 +24,7 @@
 //! workers; ordering of those side channels is explicitly not part of the
 //! determinism contract (DESIGN.md §5g).
 
-use crate::system::{System, SystemConfig, VpRuntime};
+use crate::system::{CycleReason, System, SystemConfig, VpRuntime};
 use manic_netsim::time::{SimTime, SECS_PER_DAY};
 use manic_probing::tslp::{End, TslpProber, ROUND_SECS};
 use manic_scenario::World;
@@ -109,11 +109,11 @@ impl StagedOps {
     }
 }
 
-/// One VP's share of one round: bdrmap cycle when due (with empty-cycle
-/// backoff), retirement polling, then the health-gated TSLP round. Mirrors
-/// the original serial control loop exactly — per VP, the relative order of
-/// cycle → retirement check → round is unchanged, and no step reads another
-/// VP's state.
+/// One VP's share of one round: bdrmap cycle when due (with backoff after
+/// empty or unproductive cycles), retirement polling, then the health-gated
+/// TSLP round. Mirrors the original serial control loop exactly — per VP,
+/// the relative order of cycle → retirement check → round is unchanged, and
+/// no step reads another VP's state.
 fn vp_round(
     world: &World,
     cfg: &SystemConfig,
@@ -125,30 +125,36 @@ fn vp_round(
     if !vp.active {
         return;
     }
-    let due = match vp.last_cycle {
-        // Immediately-due (startup or reactive refresh), unless a string of
-        // failed cycles has us backing off.
+    let (due, reason) = match vp.last_cycle {
+        // Immediately-due (startup, reactive refresh or retry), unless a
+        // string of failed or unproductive cycles has us backing off.
         None => {
             let ok = vp.cycle_backoff.may_attempt(t);
             if !ok {
                 crate::obs::metrics().backoff_waits.inc();
             }
-            ok
+            (ok, vp.cycle_trigger.unwrap_or(CycleReason::Scheduled))
         }
-        Some(last) => t - last >= cycle_secs,
+        Some(last) => (t - last >= cycle_secs, CycleReason::Scheduled),
     };
     if due {
-        let n = System::bdrmap_cycle_for(world, cfg, vp, t);
+        let (n, changed) = System::bdrmap_cycle_for(world, cfg, vp, t, reason);
         if n == 0 {
             // The VP's view collapsed (uplink outage, first-hop reboot):
             // bounded retry instead of a dead 2 days.
             vp.last_cycle = None;
+            vp.cycle_trigger = Some(CycleReason::Retry);
             vp.cycle_backoff.note_failure(t);
             crate::obs::metrics().bdrmap_cycles_empty.inc();
             manic_obs::event!(
                 manic_obs::WARN, "core", "bdrmap_cycle_empty", t,
                 vp = vp.handle.name.as_str(),
             );
+        } else if reason == CycleReason::Reactive && !changed {
+            // The re-cycle reproduced the probing set, so the mismatch is
+            // not one bdrmap can repair: hold the next reactive cycle back
+            // on the same schedule as an empty one.
+            vp.cycle_backoff.note_failure(t);
         } else {
             vp.cycle_backoff.note_success();
         }

@@ -15,15 +15,22 @@
 //!                                                                       │
 //!                     quarantines > max_quarantines                     ▼
 //!                Retired ◄──────────────────────────────────── (re-quarantine,
-//!            (until the next bdrmap cycle                        backoff × 2)
-//!             rebuilds the probing set)
+//!            (until the next scheduled                           backoff × 2)
+//!             bdrmap cycle)
 //! ```
 //!
 //! While `Quarantined`, the task is skipped until its exponential backoff
 //! (with deterministic jitter, so re-probes from different tasks do not
 //! synchronize into bursts) expires; the single re-probe round then decides
 //! between recovery and a doubled backoff. `Retired` tasks stop consuming
-//! budget entirely until a bdrmap cycle rebuilds the probing set.
+//! budget entirely until the next *scheduled* bdrmap cycle resets every
+//! machine. Reactive and retry cycles keep the machines of the tasks they
+//! re-select, and a dark far end never triggers a cycle: silence is this
+//! machine's job, while the §3.2 reactive trigger fires only on far ends
+//! answering from an unexpected address.
+//!
+//! [`CycleBackoff`] holds back a VP's next cycle after an empty one and
+//! after a reactive one that reproduced the same probing set.
 
 use manic_netsim::noise;
 use manic_netsim::time::SimTime;
@@ -38,7 +45,8 @@ pub enum HealthState {
     Degraded,
     /// Dark long enough to stop probing; retried after a backoff.
     Quarantined,
-    /// Quarantined too many times; parked until the next bdrmap cycle.
+    /// Quarantined too many times; parked until the next scheduled bdrmap
+    /// cycle.
     Retired,
 }
 
@@ -340,7 +348,9 @@ impl VpSupervisor {
 /// Bounded-retry backoff for a whole bdrmap cycle: when a cycle produces an
 /// empty probing set (the VP's view collapsed — uplink outage, first-hop
 /// reboot), retry on an exponential schedule instead of hammering or
-/// sleeping a full `bdrmap_cycle_days`.
+/// sleeping a full `bdrmap_cycle_days`. A reactive cycle that reproduces
+/// the same probing set counts as a failure too, so a mismatch bdrmap
+/// cannot repair does not re-trigger a cycle every few rounds.
 #[derive(Debug, Clone)]
 pub struct CycleBackoff {
     /// Consecutive failed cycles.

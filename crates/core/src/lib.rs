@@ -30,4 +30,4 @@ pub use checkpoint::{
 };
 pub use health::{CycleBackoff, HealthConfig, HealthState, SupervisorConfig, TaskHealth, VpSupervisor};
 pub use longitudinal::{run_longitudinal, run_longitudinal_detailed, LinkDays, LongitudinalConfig, LongitudinalOutput, VpLinkDays};
-pub use system::{LinkStatus, System, SystemConfig, TaskHealthStatus, VpRuntime};
+pub use system::{CycleReason, LinkStatus, System, SystemConfig, TaskHealthStatus, VpRuntime};

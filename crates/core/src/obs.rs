@@ -7,6 +7,7 @@
 //! a time and cannot diff consecutive probing sets).
 
 use crate::health::HealthState;
+use crate::system::CycleReason;
 use manic_obs::{registry, Counter, Histogram};
 use std::sync::OnceLock;
 
@@ -14,6 +15,10 @@ pub(crate) struct Metrics {
     /// bdrmap cycles executed / cycles that produced an empty probing set.
     pub bdrmap_cycles: Counter,
     pub bdrmap_cycles_empty: Counter,
+    /// `bdrmap_cycles` split by why each cycle ran; the three sum to it.
+    pub bdrmap_cycles_scheduled: Counter,
+    pub bdrmap_cycles_reactive: Counter,
+    pub bdrmap_cycles_retry: Counter,
     /// Interdomain links that (dis)appeared between consecutive cycles of
     /// the same VP.
     pub bdrmap_links_discovered: Counter,
@@ -68,6 +73,14 @@ pub(crate) struct Metrics {
 }
 
 impl Metrics {
+    pub fn bdrmap_cycles_by_reason(&self, reason: CycleReason) -> &Counter {
+        match reason {
+            CycleReason::Scheduled => &self.bdrmap_cycles_scheduled,
+            CycleReason::Reactive => &self.bdrmap_cycles_reactive,
+            CycleReason::Retry => &self.bdrmap_cycles_retry,
+        }
+    }
+
     pub fn health_transition(&self, to: HealthState) -> &Counter {
         match to {
             HealthState::Healthy => &self.health_to_healthy,
@@ -85,9 +98,15 @@ pub(crate) fn metrics() -> &'static Metrics {
         let r = registry();
         let health =
             |to| r.counter_labeled("manic_core_health_transitions", &[("to", to)]);
+        let cycles = |reason: CycleReason| {
+            r.counter_labeled("manic_bdrmap_cycles_by_reason", &[("reason", reason.as_str())])
+        };
         Metrics {
             bdrmap_cycles: r.counter("manic_bdrmap_cycles"),
             bdrmap_cycles_empty: r.counter("manic_bdrmap_cycles_empty"),
+            bdrmap_cycles_scheduled: cycles(CycleReason::Scheduled),
+            bdrmap_cycles_reactive: cycles(CycleReason::Reactive),
+            bdrmap_cycles_retry: cycles(CycleReason::Retry),
             bdrmap_links_discovered: r.counter("manic_bdrmap_links_discovered"),
             bdrmap_links_lost: r.counter("manic_bdrmap_links_lost"),
             ally_indeterminate: r.counter("manic_core_ally_indeterminate"),

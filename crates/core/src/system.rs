@@ -23,9 +23,13 @@ pub struct SystemConfig {
     /// Maximum links under concurrent loss probing (budget bound).
     pub max_loss_targets: usize,
     /// Reactive probing-set updates (§3.2's future work, implemented): when
-    /// a task's far end stops answering from the expected interface for
-    /// this many consecutive rounds, re-run the VP's bdrmap cycle
-    /// immediately instead of waiting for the scheduled one. Zero disables.
+    /// a task's far end answers from an unexpected interface in this many
+    /// rounds without a valid answer in between, re-run the VP's bdrmap
+    /// cycle immediately instead of waiting for the scheduled one. Dark
+    /// rounds (no answer at all) neither count nor reset — a silent far end
+    /// is the health machine's job, and a re-cycle cannot revive it. A
+    /// reactive cycle that reproduces the same probing set backs further
+    /// reactive cycles off through the VP's `CycleBackoff`. Zero disables.
     pub reactive_mismatch_rounds: u32,
     /// Per-task health machine thresholds (degrade / quarantine / retire).
     pub health: HealthConfig,
@@ -63,6 +67,40 @@ pub struct LinkMeta {
     pub rel: manic_bdrmap::infer::LinkRel,
 }
 
+/// Why a bdrmap cycle ran: the `reason` of the `bdrmap_cycle` journal event
+/// and the label of `manic_bdrmap_cycles_by_reason`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CycleReason {
+    /// The 1-3 day cadence (and the startup cycle). Resets all per-task
+    /// state: retired tasks get a fresh chance.
+    Scheduled,
+    /// §3.2: a far end kept answering from an unexpected interface.
+    Reactive,
+    /// The previous cycle came back empty (the VP's view collapsed).
+    Retry,
+}
+
+impl CycleReason {
+    /// Stable snake_case label (metric labels, journal fields, checkpoints).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            CycleReason::Scheduled => "scheduled",
+            CycleReason::Reactive => "reactive",
+            CycleReason::Retry => "retry",
+        }
+    }
+
+    /// Inverse of [`Self::as_str`] (checkpoint deserialization).
+    pub fn parse(s: &str) -> Option<CycleReason> {
+        match s {
+            "scheduled" => Some(CycleReason::Scheduled),
+            "reactive" => Some(CycleReason::Reactive),
+            "retry" => Some(CycleReason::Retry),
+            _ => None,
+        }
+    }
+}
+
 /// Per-VP runtime state.
 pub struct VpRuntime {
     pub handle: VpHandle,
@@ -76,15 +114,22 @@ pub struct VpRuntime {
     /// `(near_ip, far_ip) → link` index over `bdrmap`'s inferred links,
     /// rebuilt whenever `bdrmap` changes.
     pub bdrmap_links: std::collections::HashMap<(Ipv4, Ipv4), LinkMeta>,
-    /// When the probing set was last refreshed.
+    /// When the probing set was last refreshed. `None` makes a cycle due
+    /// at once (subject to `cycle_backoff`).
     pub last_cycle: Option<SimTime>,
-    /// Consecutive rounds each task spent without a valid far-end response,
+    /// Why the due cycle runs when `last_cycle` is `None` for a reason
+    /// other than startup (a reactive trigger or an empty-cycle retry);
+    /// `None` means scheduled.
+    pub cycle_trigger: Option<CycleReason>,
+    /// Mismatched far-end rounds per task since its last valid answer,
     /// keyed by (near, far) — drives reactive probing-set updates.
     pub stale_rounds: std::collections::HashMap<(Ipv4, Ipv4), u32>,
-    /// Per-task health machines, keyed by (near, far). Reset on every
-    /// bdrmap cycle (a fresh probing set gets a fresh chance).
+    /// Per-task health machines, keyed by (near, far). Reset by scheduled
+    /// cycles (a fresh probing set gets a fresh chance); reactive and retry
+    /// cycles keep the machines of tasks that survive re-selection.
     pub health: std::collections::HashMap<(Ipv4, Ipv4), TaskHealth>,
-    /// Bounded-retry schedule for failed (empty) bdrmap cycles.
+    /// Bounded-retry schedule for failed (empty) bdrmap cycles and for
+    /// reactive cycles that reproduced the probing set.
     pub cycle_backoff: CycleBackoff,
     /// Worker supervision: strikes from caught panics / watchdog overruns,
     /// and the quarantine they impose.
@@ -162,6 +207,7 @@ impl System {
                 bdrmap: None,
                 bdrmap_links: std::collections::HashMap::new(),
                 last_cycle: None,
+                cycle_trigger: None,
                 stale_rounds: std::collections::HashMap::new(),
                 health: std::collections::HashMap::new(),
                 cycle_backoff: CycleBackoff::default(),
@@ -188,22 +234,26 @@ impl System {
         self.world_label = Some((name.to_string(), fingerprint));
     }
 
-    /// Run one full bdrmap cycle for VP `vi` at time `t`: traceroute to every
-    /// routed prefix, alias resolution, border inference, probing-set update.
+    /// Run one full (scheduled) bdrmap cycle for VP `vi` at time `t`:
+    /// traceroute to every routed prefix, alias resolution, border
+    /// inference, probing-set update. Returns the number of TSLP tasks.
     pub fn run_bdrmap_cycle(&mut self, vi: usize, t: SimTime) -> usize {
-        Self::bdrmap_cycle_for(&self.world, &self.cfg, &mut self.vps[vi], t)
+        let vp = &mut self.vps[vi];
+        Self::bdrmap_cycle_for(&self.world, &self.cfg, vp, t, CycleReason::Scheduled).0
     }
 
     /// [`Self::run_bdrmap_cycle`] against explicit borrows, so the engine can
     /// drive one VP's cycle from a worker thread while other VPs run theirs.
     /// Touches only `vp`, the read-only world, and process-wide obs sinks —
     /// every store-visible effect goes through the staged commit path.
+    /// Returns the task count and whether the `(near, far)` task set changed.
     pub(crate) fn bdrmap_cycle_for(
         world: &World,
         cfg: &SystemConfig,
         vp: &mut VpRuntime,
         t: SimTime,
-    ) -> usize {
+        reason: CycleReason,
+    ) -> (usize, bool) {
         // Traceroute to every routed prefix (two destinations each for flow
         // diversity across parallel links).
         // Traces are paced across the cycle (production bdrmap spreads a
@@ -285,56 +335,33 @@ impl System {
             .collect();
         vp.bdrmap = Some(result);
         vp.last_cycle = Some(t);
-        vp.stale_rounds.clear();
-        // A fresh probing set clears all health state: retired tasks that
-        // survived re-selection get probed again from scratch.
-        vp.health.clear();
+        vp.cycle_trigger = None;
+        if reason == CycleReason::Scheduled {
+            // The cadence cycle clears all per-task state: retired tasks
+            // that survived re-selection get probed again from scratch.
+            vp.stale_rounds.clear();
+            vp.health.clear();
+        } else {
+            // Reactive and retry cycles keep survivors' state, so a
+            // quarantine or a persistent mismatch outlives the re-cycle.
+            vp.stale_rounds.retain(|k, _| new_keys.contains(k));
+            vp.health.retain(|k, _| new_keys.contains(k));
+        }
         let m = crate::obs::metrics();
         m.bdrmap_cycles.inc();
+        m.bdrmap_cycles_by_reason(reason).inc();
         m.bdrmap_links_discovered.add(discovered as u64);
         m.bdrmap_links_lost.add(lost as u64);
         manic_obs::event!(
             manic_obs::INFO, "core", "bdrmap_cycle", t,
             vp = vp.handle.name.as_str(),
+            reason = reason.as_str(),
             traces = traces.len(),
             links = vp.tslp.tasks.len(),
             discovered = discovered,
             lost = lost,
         );
-        vp.tslp.tasks.len()
-    }
-
-    /// Fold one round's samples into the per-task staleness counters and
-    /// report whether any task has been dark long enough to warrant a
-    /// reactive bdrmap cycle.
-    fn note_round_health(
-        vp: &mut VpRuntime,
-        samples: &[(usize, manic_probing::tslp::TslpSample)],
-        threshold: u32,
-    ) -> bool {
-        use std::collections::HashMap;
-        let mut far_ok: HashMap<usize, bool> = HashMap::new();
-        for (ti, s) in samples {
-            if s.end == End::Far {
-                let e = far_ok.entry(*ti).or_insert(false);
-                *e |= s.rtt_ms.is_some();
-            }
-        }
-        let mut trigger = false;
-        for (ti, ok) in far_ok {
-            let Some(task) = vp.tslp.tasks.get(ti) else { continue };
-            let key = (task.near_ip, task.far_ip);
-            if ok {
-                vp.stale_rounds.remove(&key);
-            } else {
-                let c = vp.stale_rounds.entry(key).or_insert(0);
-                *c += 1;
-                if threshold > 0 && *c >= threshold {
-                    trigger = true;
-                }
-            }
-        }
-        trigger
+        (vp.tslp.tasks.len(), discovered + lost > 0)
     }
 
     /// Run packet-mode measurement from `from` to `to`: bdrmap cycles on
@@ -397,20 +424,32 @@ impl System {
 
         let mut far_ok: HashMap<usize, bool> = HashMap::new();
         let mut near_ok: HashMap<usize, bool> = HashMap::new();
-        let mut mismatched: HashSet<(usize, End)> = HashSet::new();
+        let mut far_mismatched: HashSet<usize> = HashSet::new();
         for (ti, s) in &samples {
             let slot = match s.end {
                 End::Far => far_ok.entry(*ti).or_insert(false),
                 End::Near => near_ok.entry(*ti).or_insert(false),
             };
             *slot |= s.rtt_ms.is_some();
-            if s.mismatched {
-                mismatched.insert((*ti, s.end));
+            if s.mismatched && s.end == End::Far {
+                far_mismatched.insert(*ti);
             }
         }
+        let threshold = cfg.reactive_mismatch_rounds;
+        let mut reactive = false;
         for (ti, task) in vp.tslp.tasks.iter().enumerate() {
             let Some(&ok) = far_ok.get(&ti) else { continue };
             let key = (task.near_ip, task.far_ip);
+            let mismatched = far_mismatched.contains(&ti);
+            // §3.2 staleness: only answers from the wrong address count; a
+            // valid answer resets, a dark round leaves the count alone.
+            if ok {
+                vp.stale_rounds.remove(&key);
+            } else if mismatched {
+                let c = vp.stale_rounds.entry(key).or_insert(0);
+                *c += 1;
+                reactive |= threshold > 0 && *c >= threshold;
+            }
             // Jitter stream per task so quarantined tasks re-probe
             // desynchronized rather than in lockstep bursts.
             let stream = task.far_ip.0 as u64 ^ ((task.near_ip.0 as u64) << 32);
@@ -434,7 +473,7 @@ impl System {
                     to = after.as_str(),
                 );
             }
-            if mismatched.contains(&(ti, End::Far)) {
+            if mismatched {
                 // Response from the wrong address: renumbering or a moved
                 // route. Samples were already discarded; flag the window so
                 // any adjacent inference treats it as untrustworthy.
@@ -446,9 +485,11 @@ impl System {
                 stage.annotate(ti, End::Far, t, t + ROUND_SECS, quality::SUSPECT_RATE_LIMITED);
             }
         }
-        if Self::note_round_health(vp, &samples, cfg.reactive_mismatch_rounds) {
-            // Reactive update (§3.2): refresh the probing set now.
+        if reactive {
+            // Reactive update (§3.2): refresh the probing set now (or as
+            // soon as the cycle backoff allows).
             vp.last_cycle = None;
+            vp.cycle_trigger = Some(CycleReason::Reactive);
         }
     }
 
@@ -767,5 +808,33 @@ mod tests {
         sys.run_packet_mode(from, to);
         let n = sys.arm_reactive_loss(0, from, to);
         assert_eq!(n, 0, "no level shifts in quiet hours");
+    }
+
+    #[test]
+    fn reactive_cycle_keeps_survivors_state_scheduled_resets_it() {
+        let mut sys = System::new(toy(1), SystemConfig::default());
+        sys.run_bdrmap_cycle(0, 0);
+        let task = &sys.vps[0].tslp.tasks[0];
+        let survivor = (task.near_ip, task.far_ip);
+        let gone = (Ipv4(1), Ipv4(2)); // not in any probing set
+        let quarantined = TaskHealth::from_parts(HealthState::Quarantined, 0, 0, 9_000, 900, 1);
+        let vp = &mut sys.vps[0];
+        for key in [survivor, gone] {
+            vp.health.insert(key, quarantined.clone());
+            vp.stale_rounds.insert(key, 2);
+        }
+
+        let (n, changed) =
+            System::bdrmap_cycle_for(&sys.world, &sys.cfg, &mut sys.vps[0], 3_600, CycleReason::Reactive);
+        assert!(n > 0 && !changed, "the re-cycle reproduces the task set");
+        let vp = &sys.vps[0];
+        assert_eq!(vp.health[&survivor].state, HealthState::Quarantined, "quarantine sticks");
+        assert_eq!(vp.stale_rounds[&survivor], 2);
+        assert!(!vp.health.contains_key(&gone) && !vp.stale_rounds.contains_key(&gone));
+
+        // The cadence cycle gives every task a fresh chance.
+        sys.run_bdrmap_cycle(0, 7_200);
+        let vp = &sys.vps[0];
+        assert!(vp.health.is_empty() && vp.stale_rounds.is_empty());
     }
 }

@@ -29,7 +29,7 @@ pub mod wal;
 pub use key::{SeriesKey, TagSet};
 pub use lineproto::{format_key, parse_key, LineProtoError};
 pub use quality::{QualityFlags, QualityLog};
-pub use series::{Aggregate, Point, Series};
+pub use series::{Aggregate, Cols, Point, Series};
 pub use store::{recommended_shards, LatestCell, LatestHandle, Store, TagFilter};
 pub use wal::{FsyncPolicy, ReplayReport, Wal, WalCodecError, WalPosition, WalRecord};
 pub use wal::{replay_dir_range, replay_segment_file_with, write_snapshot};

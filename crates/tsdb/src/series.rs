@@ -1,8 +1,9 @@
 //! A single time series: sorted `(timestamp, value)` points plus
 //! range/downsampling queries.
 //!
-//! Storage is columnar (structure-of-arrays): one contiguous `Vec<i64>` of
-//! timestamps and one contiguous `Vec<f64>` of values, kept index-aligned.
+//! Storage is columnar (structure-of-arrays): one contiguous column of
+//! timestamps (`u32` offsets from a per-series base) and one contiguous
+//! `Vec<f64>` of values, kept index-aligned.
 //! The hot read paths — `downsample`, `downsample_dense`, and the window
 //! scans behind the inference layer — walk the value column as branch-light
 //! batch loops over contiguous memory instead of striding over interleaved
@@ -86,10 +87,16 @@ impl AggState {
 /// Appends at or after the current tail are O(1); out-of-order inserts fall
 /// back to a binary-search insert. Duplicate timestamps are allowed (TSLP
 /// probes to three destinations in the same round legitimately share a bin).
+///
+/// Timestamps are stored as `u32` second offsets from a per-series `base`
+/// (12 bytes per point instead of 16), so one series spans at most
+/// `u32::MAX` seconds — about 136 years of sim time.
 #[derive(Debug, Clone, Default)]
 pub struct Series {
-    /// Timestamp column, sorted ascending.
-    ts: Vec<i64>,
+    /// Timestamp column as offsets from `base`, sorted ascending.
+    ts: Vec<u32>,
+    /// Timestamp of offset 0; never later than the earliest point.
+    base: i64,
     /// Value column, index-aligned with `ts`.
     vs: Vec<f64>,
     /// Id of this series' escaped key token in the attached WAL's registry,
@@ -98,6 +105,42 @@ pub struct Series {
     /// re-escaping the key for every sample. Ids are scoped to the WAL the
     /// store was attached to; stores are never re-attached to a second WAL.
     pub(crate) wal_key_token: std::sync::OnceLock<u32>,
+}
+
+/// Borrowed column view of a series or of one window of it: timestamps
+/// (as offsets from `base`) and values, index-aligned.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Cols<'a> {
+    base: i64,
+    ts: &'a [u32],
+    vs: &'a [f64],
+}
+
+impl<'a> Cols<'a> {
+    pub fn len(&self) -> usize {
+        self.ts.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ts.is_empty()
+    }
+
+    /// Timestamp of point `i`.
+    #[inline]
+    pub fn t(&self, i: usize) -> i64 {
+        self.base + self.ts[i] as i64
+    }
+
+    /// The value column.
+    pub fn values(&self) -> &'a [f64] {
+        self.vs
+    }
+
+    /// The points, in timestamp order.
+    pub fn iter(&self) -> impl Iterator<Item = Point> + 'a {
+        let base = self.base;
+        self.ts.iter().zip(self.vs).map(move |(&o, &v)| Point::new(base + o as i64, v))
+    }
 }
 
 impl Series {
@@ -114,15 +157,51 @@ impl Series {
     }
 
     /// Insert a sample, keeping the series sorted.
+    ///
+    /// A full series grows both columns by an eighth (at least 32 points)
+    /// instead of `Vec`'s doubling: thousands of series filling in lockstep
+    /// would otherwise all double at about the same round, leaving up to
+    /// half of every column as slack at peak.
+    ///
+    /// Panics if the series would span more than `u32::MAX` seconds.
     pub fn push(&mut self, t: i64, v: f64) {
-        if self.ts.last().is_none_or(|&last| last <= t) {
-            self.ts.push(t);
+        if self.ts.is_empty() {
+            self.base = t;
+        } else if t < self.base {
+            self.rebase(t);
+        }
+        let off = t
+            .checked_sub(self.base)
+            .and_then(|d| u32::try_from(d).ok())
+            .expect("a series spans at most u32::MAX seconds");
+        if self.ts.len() == self.ts.capacity() {
+            let extra = (self.ts.len() / 8).max(32);
+            self.ts.reserve_exact(extra);
+            self.vs.reserve_exact(extra);
+        }
+        if self.ts.last().is_none_or(|&last| last <= off) {
+            self.ts.push(off);
             self.vs.push(v);
         } else {
-            let i = self.ts.partition_point(|&pt| pt <= t);
-            self.ts.insert(i, t);
+            let i = self.ts.partition_point(|&o| o <= off);
+            self.ts.insert(i, off);
             self.vs.insert(i, v);
         }
+    }
+
+    /// Move `base` back to `t` (an insert before every stored point).
+    fn rebase(&mut self, t: i64) {
+        let last = *self.ts.last().expect("non-empty");
+        let shift = self
+            .base
+            .checked_sub(t)
+            .and_then(|d| u32::try_from(d).ok())
+            .filter(|&d| last.checked_add(d).is_some())
+            .expect("a series spans at most u32::MAX seconds");
+        for o in &mut self.ts {
+            *o += shift;
+        }
+        self.base = t;
     }
 
     /// Index range `[lo, hi)` of points with `start <= t < end`. An empty or
@@ -133,37 +212,38 @@ impl Series {
         if end <= start {
             return (0, 0);
         }
-        let lo = self.ts.partition_point(|&t| t < start);
-        let hi = self.ts.partition_point(|&t| t < end);
+        let base = self.base;
+        let lo = self.ts.partition_point(|&o| base + (o as i64) < start);
+        let hi = self.ts.partition_point(|&o| base + (o as i64) < end);
         (lo, hi)
     }
 
-    /// Column view of the window `start <= t < end`: `(timestamps, values)`,
-    /// index-aligned. The zero-copy primitive behind every windowed read.
-    pub fn range_cols(&self, start: i64, end: i64) -> (&[i64], &[f64]) {
+    /// Column view of the window `start <= t < end`. The zero-copy
+    /// primitive behind every windowed read.
+    pub fn range_cols(&self, start: i64, end: i64) -> Cols<'_> {
         let (lo, hi) = self.index_range(start, end);
-        (&self.ts[lo..hi], &self.vs[lo..hi])
+        Cols { base: self.base, ts: &self.ts[lo..hi], vs: &self.vs[lo..hi] }
     }
 
     /// All points with `start <= t < end`, materialized as `Point`s.
     pub fn range(&self, start: i64, end: i64) -> Vec<Point> {
-        let (ts, vs) = self.range_cols(start, end);
-        ts.iter().zip(vs).map(|(&t, &v)| Point::new(t, v)).collect()
+        self.range_cols(start, end).iter().collect()
     }
 
     /// Every point, materialized.
     pub fn all(&self) -> Vec<Point> {
-        self.ts.iter().zip(&self.vs).map(|(&t, &v)| Point::new(t, v)).collect()
+        self.cols().iter().collect()
     }
 
-    /// Full column view: `(timestamps, values)`.
-    pub fn cols(&self) -> (&[i64], &[f64]) {
-        (&self.ts, &self.vs)
+    /// Full column view.
+    pub fn cols(&self) -> Cols<'_> {
+        Cols { base: self.base, ts: &self.ts, vs: &self.vs }
     }
 
     /// First/last timestamps, if any.
     pub fn span(&self) -> Option<(i64, i64)> {
-        Some((*self.ts.first()?, *self.ts.last()?))
+        let c = self.cols();
+        (!c.is_empty()).then(|| (c.t(0), c.t(c.len() - 1)))
     }
 
     /// Downsample the half-open window `[start, end)` into bins of
@@ -182,16 +262,16 @@ impl Series {
         if bin_secs <= 0 || end <= start {
             return Vec::new();
         }
-        let (ts, vs) = self.range_cols(start, end);
+        let c = self.range_cols(start, end);
         let mut out = Vec::new();
         let mut i = 0;
-        while i < ts.len() {
-            let bin_idx = (ts[i] - start) / bin_secs;
+        while i < c.len() {
+            let bin_idx = (c.t(i) - start) / bin_secs;
             let bin_start = start + bin_idx * bin_secs;
             let bin_end = bin_start + bin_secs;
             let mut st = AggState::new(agg);
-            while i < ts.len() && ts[i] < bin_end {
-                st.feed(agg, vs[i]);
+            while i < c.len() && c.t(i) < bin_end {
+                st.feed(agg, c.vs[i]);
                 i += 1;
             }
             out.push(Point::new(bin_start, st.finish(agg)));
@@ -232,14 +312,14 @@ impl Series {
         }
         let nbins = ((end - start) + bin_secs - 1) / bin_secs;
         out.resize(nbins as usize, None);
-        let (ts, vs) = self.range_cols(start, end);
+        let c = self.range_cols(start, end);
         let mut i = 0;
-        while i < ts.len() {
-            let bin_idx = ((ts[i] - start) / bin_secs) as usize;
+        while i < c.len() {
+            let bin_idx = ((c.t(i) - start) / bin_secs) as usize;
             let bin_end = start + (bin_idx as i64 + 1) * bin_secs;
             let mut st = AggState::new(agg);
-            while i < ts.len() && ts[i] < bin_end {
-                st.feed(agg, vs[i]);
+            while i < c.len() && c.t(i) < bin_end {
+                st.feed(agg, c.vs[i]);
                 i += 1;
             }
             out[bin_idx] = Some(st.finish(agg));
@@ -248,7 +328,7 @@ impl Series {
 
     /// Drop all points with `t < cutoff`; returns how many were removed.
     pub fn trim_before(&mut self, cutoff: i64) -> usize {
-        let keep_from = self.ts.partition_point(|&t| t < cutoff);
+        let (_, keep_from) = self.index_range(i64::MIN, cutoff);
         self.ts.drain(..keep_from);
         self.vs.drain(..keep_from);
         keep_from
@@ -256,7 +336,7 @@ impl Series {
 
     /// Values only, over a range (utility for feeding statistics).
     pub fn values_in(&self, start: i64, end: i64) -> Vec<f64> {
-        self.range_cols(start, end).1.to_vec()
+        self.range_cols(start, end).values().to_vec()
     }
 }
 
@@ -279,7 +359,7 @@ mod tests {
         assert_eq!(ts, vec![5, 10, 15, 20]);
         // Value column stays aligned with the timestamp column.
         assert_eq!(s.all()[0], Point::new(5, 2.0));
-        assert_eq!(s.cols().0.len(), s.cols().1.len());
+        assert_eq!(s.cols().len(), s.cols().values().len());
     }
 
     #[test]
@@ -289,9 +369,9 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(s.range(5, 11).len(), 2);
         assert_eq!(s.range(11, 20).len(), 0);
-        let (ts, vs) = s.range_cols(5, 11);
-        assert_eq!(ts, &[5, 10]);
-        assert_eq!(vs, &[1.0, 2.0]);
+        let c = s.range_cols(5, 11);
+        assert_eq!((c.len(), c.t(0), c.t(1)), (2, 5, 10));
+        assert_eq!(c.values(), &[1.0, 2.0]);
     }
 
     #[test]
@@ -383,5 +463,47 @@ mod tests {
         let s = series(&[(5, 1.0), (5, 2.0), (5, 0.5)]);
         assert_eq!(s.len(), 3);
         assert_eq!(s.downsample(0, 10, 10, Aggregate::Min)[0].v, 0.5);
+    }
+
+    #[test]
+    fn growth_slack_is_bounded() {
+        let bound = |s: &Series| s.len() + s.len() / 8 + 32;
+        let mut s = Series::new();
+        for t in 0..10_000i64 {
+            s.push(t, t as f64);
+            assert!(s.ts.capacity() <= bound(&s), "in order: {} at len {}", s.ts.capacity(), s.len());
+            assert!(s.vs.capacity() <= bound(&s));
+        }
+        // Out of order: every push inserts before the tail.
+        let mut s = Series::new();
+        for t in (0..10_000i64).rev() {
+            s.push(t, t as f64);
+            assert!(s.ts.capacity() <= bound(&s), "out of order: {} at len {}", s.ts.capacity(), s.len());
+            assert!(s.vs.capacity() <= bound(&s));
+        }
+        assert!(s.ts.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn offsets_rebase_for_points_before_the_first() {
+        let mut s = series(&[(1_000, 1.0), (1_500, 2.0)]);
+        s.push(-7, 3.0); // before the base: every offset shifts
+        s.push(1_200, 4.0);
+        let ts: Vec<i64> = s.all().iter().map(|p| p.t).collect();
+        assert_eq!(ts, vec![-7, 1_000, 1_200, 1_500]);
+        assert_eq!(s.span(), Some((-7, 1_500)));
+        assert_eq!(s.range(-7, 1_001).len(), 2);
+        // Emptied by trimming, the series takes a fresh base.
+        assert_eq!(s.trim_before(2_000), 4);
+        s.push(i64::MAX, 5.0);
+        s.push(i64::MAX - u32::MAX as i64, 6.0);
+        assert_eq!(s.span(), Some((i64::MAX - u32::MAX as i64, i64::MAX)));
+    }
+
+    #[test]
+    #[should_panic(expected = "spans at most")]
+    fn spans_beyond_u32_seconds_are_refused() {
+        let mut s = series(&[(0, 1.0)]);
+        s.push(u32::MAX as i64 + 1, 2.0);
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::key::{SeriesKey, TagSet};
 use crate::quality::{QualityFlags, QualityLog};
-use crate::series::{Aggregate, Point, Series};
+use crate::series::{Aggregate, Cols, Point, Series};
 use crate::wal::{Wal, WalRecord};
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -486,22 +486,22 @@ impl Store {
     }
 
     /// Visit every series in sorted key order, holding only that series'
-    /// read locks: `f(key, ts, vs, windows)` gets the index-aligned
-    /// timestamp and value columns (empty for a flag-only series) and the
-    /// quality windows. Snapshots ([`crate::wal::write_snapshot`]), the
-    /// checkpoint restore transfer and [`Self::content_hash`] all read the
-    /// store through this one walk. The first error stops it.
+    /// read locks: `f(key, cols, windows)` gets the series' column view
+    /// (empty for a flag-only series) and the quality windows. Snapshots
+    /// ([`crate::wal::write_snapshot`]), the checkpoint restore transfer and
+    /// [`Self::content_hash`] all read the store through this one walk. The
+    /// first error stops it.
     pub fn for_each_series<E>(
         &self,
-        mut f: impl FnMut(&SeriesKey, &[i64], &[f64], &[(i64, i64, QualityFlags)]) -> Result<(), E>,
+        mut f: impl FnMut(&SeriesKey, Cols<'_>, &[(i64, i64, QualityFlags)]) -> Result<(), E>,
     ) -> Result<(), E> {
         for key in &self.sorted_keys() {
             let i = self.shard_index(key);
             let points = self.shards[i].read().unwrap();
-            let (ts, vs) = points.get(key).map_or((&[][..], &[][..]), Series::cols);
+            let cols = points.get(key).map_or_else(Cols::default, Series::cols);
             let quality = self.quality[i].read().unwrap();
             let windows = quality.get(key).map_or(&[][..], QualityLog::windows);
-            f(key, ts, vs, windows)?;
+            f(key, cols, windows)?;
         }
         Ok(())
     }
@@ -522,13 +522,13 @@ impl Store {
                 h = h.wrapping_mul(0x0000_0100_0000_01B3);
             }
         };
-        let walked: Result<(), Infallible> = self.for_each_series(|key, ts, vs, windows| {
+        let walked: Result<(), Infallible> = self.for_each_series(|key, cols, windows| {
             let name = key.to_string();
-            for (t, v) in ts.iter().zip(vs) {
+            for p in cols.iter() {
                 eat(b"S");
                 eat(name.as_bytes());
-                eat(&t.to_le_bytes());
-                eat(&v.to_bits().to_le_bytes());
+                eat(&p.t.to_le_bytes());
+                eat(&p.v.to_bits().to_le_bytes());
             }
             for &(from, to, flags) in windows {
                 eat(b"A");

@@ -780,13 +780,13 @@ pub fn write_snapshot(vfs: &dyn Vfs, path: &Path, store: &Store) -> io::Result<u
     let mut w = SegmentWriter::create_with(vfs, path)?;
     let (mut buf, mut entries) = (Vec::new(), Vec::new());
     let mut id = 0u32;
-    store.for_each_series(|key, ts, vs, windows| -> io::Result<()> {
-        if !ts.is_empty() {
+    store.for_each_series(|key, cols, windows| -> io::Result<()> {
+        if !cols.is_empty() {
             key_payload(&mut buf, id, &format_key(key).map_err(bad_key)?);
             w.append(&buf)?;
             entries.clear();
-            for (&t, &v) in ts.iter().zip(vs) {
-                push_entry(&mut entries, id, Point::new(t, v));
+            for p in cols.iter() {
+                push_entry(&mut entries, id, p);
             }
             for chunk in entries.chunks(B_FRAME_MAX) {
                 batch_payload(&mut buf, chunk);

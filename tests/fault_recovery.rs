@@ -3,7 +3,9 @@
 //! and retry instead of dying, and produce *no inference* (never a false
 //! one) for windows a fault corrupted.
 
-use manic_core::{run_longitudinal, HealthState, LongitudinalConfig, System, SystemConfig};
+use manic_core::{
+    run_longitudinal, CycleReason, HealthState, LongitudinalConfig, System, SystemConfig,
+};
 use manic_netsim::fault::{FaultEvent, FaultKind, FaultScope};
 use manic_netsim::time::{date_to_sim, datetime_to_sim, Date, SECS_PER_DAY};
 use manic_probing::tslp::{series_key, End};
@@ -32,9 +34,6 @@ fn far_iface(
 #[test]
 fn interface_silence_quarantines_instead_of_inferring() {
     let mut sys = System::new(toy(1), SystemConfig::default());
-    // Disable the reactive probing-set refresh so the health machine (not a
-    // re-bdrmap) is what handles the dark task.
-    sys.cfg.reactive_mismatch_rounds = 0;
     let from = quiet_start();
     sys.run_bdrmap_cycle(0, from);
     let (ifc, _, far_ip) = far_iface(&sys, 0, toy_asns::VIDCO);
@@ -71,9 +70,90 @@ fn interface_silence_quarantines_instead_of_inferring() {
 }
 
 #[test]
+fn dark_far_end_never_recycles_and_stays_retired() {
+    // A silent far end is the health machine's job: under the default
+    // reactive trigger it must not re-run bdrmap (which would reset the
+    // machine and start the ladder over), and the retired task must stay
+    // parked until the next *scheduled* cycle, even after the silence ends.
+    let mut sys = System::new(toy(1), SystemConfig::default());
+    let from = quiet_start();
+    sys.run_bdrmap_cycle(0, from);
+    let (ifc, _, far_ip) = far_iface(&sys, 0, toy_asns::VIDCO);
+    sys.world.net.fault.push(FaultEvent::window(
+        FaultKind::IfaceSilence,
+        FaultScope::Iface(ifc),
+        from,
+        from + 8 * 3600,
+    ));
+    let mid = from + 6 * 3600;
+    sys.run_packet_mode(from, mid);
+    let key = {
+        let task = sys.vps[0].tslp.tasks.iter().find(|t| t.far_ip == far_ip).expect("task");
+        (task.near_ip, task.far_ip)
+    };
+    assert_eq!(sys.vps[0].last_cycle, Some(from), "a dark far end must not re-cycle");
+    assert_eq!(sys.vps[0].health[&key].state, HealthState::Retired);
+
+    // Silence ends at +8 h; the task stays retired and unprobed.
+    let to = from + 12 * 3600;
+    sys.run_packet_mode(mid, to);
+    let vp = &sys.vps[0];
+    assert_eq!(vp.last_cycle, Some(from), "no cycle before the 2-day cadence");
+    assert_eq!(vp.health[&key].state, HealthState::Retired, "retirement sticks");
+    let task = vp.tslp.tasks.iter().find(|t| t.far_ip == far_ip).expect("task");
+    let pts = sys.store.query(&series_key(&vp.handle.name, task, End::Far), mid, to);
+    assert!(pts.is_empty(), "retired task probed: {} samples", pts.len());
+}
+
+#[test]
+fn unrepairable_mismatch_backs_off_the_next_reactive_cycle() {
+    let mut sys = System::new(toy(1), SystemConfig::default());
+    let from = quiet_start();
+    sys.run_bdrmap_cycle(0, from);
+    let (ifc, _, far_ip) = far_iface(&sys, 0, toy_asns::VIDCO);
+    // The far end answers from an alias from +1 h on: rounds at +1 h,
+    // +1:05 and +1:10 mismatch, so a reactive cycle runs at +1:15. The alias
+    // lapses for that round and the next, so the cycle traces the original
+    // address and re-selects the same task set (it cannot repair anything),
+    // and the task's health machine recovers. The alias then returns at
+    // +1:25 and re-arms the trigger three rounds later, at +1:35.
+    let cycle_at = from + 4500;
+    let alias = manic_netsim::Ipv4(0xC0A8_0001);
+    for (a, b) in [(from + 3600, cycle_at), (cycle_at + 600, from + 12 * 3600)] {
+        sys.world.net.fault.push(FaultEvent::window(
+            FaultKind::Renumber { alias },
+            FaultScope::Iface(ifc),
+            a,
+            b,
+        ));
+    }
+    let held = cycle_at + 1500;
+    sys.run_packet_mode(from, held);
+    let vp = &sys.vps[0];
+    assert!(vp.tslp.tasks.iter().any(|t| t.far_ip == far_ip), "same task set");
+    assert_eq!(vp.cycle_backoff.failures, 1, "unproductive reactive cycle noted");
+    assert_eq!(vp.cycle_backoff.next_attempt, cycle_at + 1800);
+    // The re-armed trigger has made a cycle due, but the backoff holds it.
+    assert_eq!(vp.last_cycle, None);
+    assert_eq!(vp.cycle_trigger, Some(CycleReason::Reactive));
+
+    sys.run_packet_mode(held, from + 3 * 3600);
+    let vp = &sys.vps[0];
+    assert_eq!(
+        vp.last_cycle,
+        Some(cycle_at + 1800),
+        "the second reactive cycle runs when the backoff expires, not before"
+    );
+    assert!(
+        !vp.tslp.tasks.iter().any(|t| t.far_ip == far_ip),
+        "with the alias visible to its traces, the cycle drops the link"
+    );
+    assert_eq!(vp.cycle_backoff.failures, 0, "a productive cycle clears the backoff");
+}
+
+#[test]
 fn router_reboot_quarantines_then_recovers() {
     let mut sys = System::new(toy(1), SystemConfig::default());
-    sys.cfg.reactive_mismatch_rounds = 0;
     let from = quiet_start();
     sys.run_bdrmap_cycle(0, from);
     let (_, router, far_ip) = far_iface(&sys, 0, toy_asns::VIDCO);

@@ -64,6 +64,15 @@ fn probes_sent_equals_sum_of_outcomes_and_metrics_cover_subsystems() {
         );
     }
 
+    // Every bdrmap cycle is counted under exactly one reason.
+    let cycles = r.counter_value("manic_bdrmap_cycles");
+    assert!(cycles >= sys.vps.len() as u64, "one startup cycle per VP at least");
+    assert_eq!(
+        cycles,
+        r.sum_counters_with_prefix("manic_bdrmap_cycles_by_reason"),
+        "per-reason cycle counters must sum to the total"
+    );
+
     // The Prometheus rendering is well-formed: every non-comment line is
     // `name[{labels}] value`, every metric family has exactly one TYPE line.
     let text = r.render_prometheus();

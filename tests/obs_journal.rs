@@ -27,7 +27,6 @@ fn field_str<'a>(ev: &'a manic_obs::Event, key: &str) -> &'a str {
 #[test]
 fn health_transitions_appear_as_journal_events_at_sim_times() {
     let mut sys = System::new(toy(1), SystemConfig::default());
-    sys.cfg.reactive_mismatch_rounds = 0;
     let from = datetime_to_sim(Date::new(2016, 6, 7), 6, 0, 0);
     sys.run_bdrmap_cycle(0, from);
     let gt = &sys.world.links_between(toy_asns::ACME, toy_asns::VIDCO)[0];
@@ -79,6 +78,43 @@ fn health_transitions_appear_as_journal_events_at_sim_times() {
             .sum_counters_with_prefix("manic_core_health_transitions")
             > 0
     );
+}
+
+/// Every bdrmap cycle says why it ran: the startup cycle is `scheduled`,
+/// and a far end answering from the wrong address (§3.2) yields a
+/// `reactive` one at a later sim time.
+#[test]
+fn bdrmap_cycle_events_carry_their_reason() {
+    let mut sys = System::new(toy(2), SystemConfig::default());
+    let from = datetime_to_sim(Date::new(2016, 6, 8), 6, 0, 0);
+    sys.run_bdrmap_cycle(0, from);
+    // The cdnco link: the health-transition test above owns the vidco one's
+    // journal events.
+    let gt = &sys.world.links_between(toy_asns::ACME, toy_asns::CDNCO)[0];
+    let ifc = sys.world.net.topo.iface_by_addr(gt.far_addr_from(toy_asns::ACME)).expect("iface");
+    sys.world.net.fault.push(FaultEvent::window(
+        FaultKind::Renumber { alias: manic_netsim::Ipv4(0xC0A8_0002) },
+        FaultScope::Iface(ifc.id),
+        from + 3600,
+        from + 8 * 3600,
+    ));
+    sys.run_packet_mode(from, from + 3 * 3600);
+
+    let reasons: Vec<(i64, String)> = manic_obs::journal()
+        .snapshot()
+        .into_iter()
+        .filter(|e| e.name == "bdrmap_cycle" && field_str(e, "vp") == "acme-nyc")
+        .filter(|e| e.t >= from && e.t < from + 3 * 3600)
+        .map(|e| (e.t, field_str(&e, "reason").to_string()))
+        .collect();
+    assert!(reasons.contains(&(from, "scheduled".into())), "{reasons:?}");
+    assert!(
+        reasons.iter().any(|(t, r)| r == "reactive" && *t > from + 3600),
+        "renumbering must trigger a reactive cycle: {reasons:?}"
+    );
+    for (_, r) in &reasons {
+        assert!(matches!(r.as_str(), "scheduled" | "reactive" | "retry"), "{r}");
+    }
 }
 
 /// Every congested verdict must be explainable after the fact: the audit
